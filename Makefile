@@ -1,7 +1,8 @@
 # Convenience targets; dune is the real build system.
 
 .PHONY: all check test smoke psmoke cachesmoke faultsmoke profsmoke \
-  benchsmoke certsmoke certfuzz arenasmoke servesmoke bench lint clean
+  benchsmoke certsmoke certfuzz qbffuzz arenasmoke servesmoke bench lint \
+  clean
 
 all:
 	dune build @all
@@ -19,6 +20,7 @@ check:
 	$(MAKE) benchsmoke
 	$(MAKE) certsmoke
 	$(MAKE) certfuzz
+	$(MAKE) qbffuzz
 	$(MAKE) arenasmoke
 	$(MAKE) servesmoke
 
@@ -158,6 +160,13 @@ certfuzz:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --proofs --rounds 60 --vars 6 \
 	  --seed 11
+
+# Differential method fuzzing: random functions through the Prop.1
+# check, the BDD and truth-table references, both extraction engines,
+# MG/LJH, and QD/QDB, whose optima must equal exhaustive search's.
+qbffuzz:
+	dune build bin/fuzz.exe
+	dune exec --no-build bin/fuzz.exe -- --rounds 200 --vars 8
 
 # Arena differential smoke: each round solves the same random CNF with
 # inprocessing off (reference), with a forced inprocessing pass + arena

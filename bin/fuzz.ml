@@ -5,6 +5,7 @@
 
      - Prop.1 SAT check vs truth-table reference vs BDD baseline
      - STEP-MG / LJH partitions validity (and QBF optimum <= both)
+     - the QD and QDB optima against exhaustive search
      - both extraction engines, SAT-verified
      - the QDIMACS export solved back through the CEGAR engine
 
@@ -29,6 +30,7 @@ module Check = Step_core.Check
 module Mg = Step_core.Mg
 module Ljh = Step_core.Ljh
 module Qbf_model = Step_core.Qbf_model
+module Exhaustive = Step_core.Exhaustive
 module Extract = Step_core.Extract
 module Verify = Step_core.Verify
 module Solver = Step_sat.Solver
@@ -141,10 +143,27 @@ let round_check round st =
                   then fail round "extraction failed verification"
               | exception Aig.Blowup -> ())
             [ Extract.Quantify; Extract.Interpolate ]);
-    (* 3. method consistency: QBF optimum <= MG; every answer valid *)
+    (* 3. method consistency: QBF optimum <= MG, QD and QDB optima equal
+       exhaustive search's; every answer valid *)
     let mg = (Mg.find p g).Mg.partition in
     let lj = (Ljh.find p g).Ljh.partition in
     let qd = Qbf_model.optimize p g Qbf_model.Disjointness in
+    let qdb = Qbf_model.optimize p g Qbf_model.Combined in
+    let decomposable = Exhaustive.all_decomposable p g in
+    List.iter
+      (fun (label, target, (o : Qbf_model.outcome)) ->
+        let k = Qbf_model.target_k target in
+        let best =
+          match List.map k decomposable with
+          | [] -> None
+          | ks -> Some (List.fold_left min max_int ks)
+        in
+        let show = function Some k -> string_of_int k | None -> "none" in
+        if (not o.Qbf_model.optimal) || o.Qbf_model.best_k <> best then
+          fail round
+            (Printf.sprintf "%s optimum %s, exhaustive %s (%s)" label
+               (show o.Qbf_model.best_k) (show best) (Gate.to_string g)))
+      [ ("QD", Qbf_model.Disjointness, qd); ("QDB", Qbf_model.Combined, qdb) ];
     (match (mg, qd.Qbf_model.partition) with
     | Some m, Some q ->
         if Partition.disjointness_k q > Partition.disjointness_k m then
@@ -160,7 +179,12 @@ let round_check round st =
         | Some part ->
             if Check.decomposable p g part <> Some true then
               fail round (label ^ " returned an invalid partition"))
-      [ ("MG", mg); ("LJH", lj); ("QD", qd.Qbf_model.partition) ]
+      [
+        ("MG", mg);
+        ("LJH", lj);
+        ("QD", qd.Qbf_model.partition);
+        ("QDB", qdb.Qbf_model.partition);
+      ]
   end
 
 (* --proofs mode: fuzz the proof-logging solver against the independent

@@ -21,6 +21,14 @@ let gate c = c.gate
 
 let solver c = Tseitin.solver c.enc
 
+let validate who c p g =
+  if c.problem != p then
+    invalid_arg (who ^ ": copies built for a different problem");
+  if c.gate <> g then
+    invalid_arg
+      (Printf.sprintf "%s: copies built for gate %s, not %s" who
+         (Gate.to_string c.gate) (Gate.to_string g))
+
 (* fresh copy of the support inputs; returns idx -> substitution edge *)
 let fresh_copy aig support tag =
   let tbl = Hashtbl.create 16 in

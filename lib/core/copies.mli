@@ -42,6 +42,13 @@ val problem : t -> Problem.t
 
 val gate : t -> Gate.t
 
+val validate : string -> t -> Problem.t -> Gate.t -> unit
+(** [validate who c p g] checks that a caller-supplied scaffold was built
+    for this very problem (physically) and gate, so it cannot verify the
+    wrong formula. An explicit check, not an [assert], because -noassert
+    would remove it.
+    @raise Invalid_argument naming [who] and the mismatch otherwise. *)
+
 val solver : t -> Step_sat.Solver.t
 (** The underlying solver (e.g. to set budgets). *)
 

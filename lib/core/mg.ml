@@ -1,4 +1,5 @@
 module Aig = Step_aig.Aig
+module Sim = Step_aig.Sim
 module Solver = Step_sat.Solver
 module Mus = Step_mus.Mus
 module Obs = Step_obs.Obs
@@ -33,55 +34,56 @@ let seed_pairs support =
   done;
   !pairs
 
+let popcount w =
+  let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
+  go w 0
+
 (* Simulation-guided ordering: pairs with the least overlapping
-   sensitivity signatures first. *)
+   sensitivity signatures first. A signature is [f ⊕ f[v flipped]] over
+   [rounds] random words. The patterns are drawn as 64-bit words below
+   [Int64.max_int], of which the simulator's lanes carry the low 63 bits;
+   the top bit is 0 for every input in every round, so that last lane
+   simulates the all-zero vector, done once in the extra row and counted
+   [rounds] times. *)
 let signature_pairs (p : Problem.t) =
   let aig = p.Problem.aig in
-  let support = p.Problem.support in
+  let support = Array.of_list p.Problem.support in
+  let n = Array.length support in
+  let sim = Sim.compile aig ~inputs:support p.Problem.f in
   let st = Random.State.make [| 0x51d5; Aig.n_nodes aig |] in
   let rounds = 4 in
-  let patterns =
-    Array.init rounds (fun _ ->
-        let tbl = Hashtbl.create 16 in
-        List.iter
-          (fun v -> Hashtbl.replace tbl v (Random.State.int64 st Int64.max_int))
-          support;
-        tbl)
+  let sigs = Array.make ((rounds + 1) * n) 0 in
+  let signatures row =
+    let y = Sim.run_flips sim in
+    for j = 0 to n - 1 do
+      sigs.((row * n) + j) <- y lxor Sim.flipped sim j
+    done
   in
-  let sensitivity v =
-    Array.map
-      (fun pats ->
-        let env u =
-          let w = Hashtbl.find pats u in
-          if u = v then Int64.lognot w else w
-        in
-        let base u = Hashtbl.find pats u in
-        Int64.logxor
-          (Aig.sim64 aig base p.Problem.f)
-          (Aig.sim64 aig env p.Problem.f))
-      patterns
-  in
-  let sigs = List.map (fun v -> (v, sensitivity v)) support in
-  let popcount w =
-    let rec go w acc =
-      if w = 0L then acc
-      else go (Int64.shift_right_logical w 1)
-          (acc + Int64.to_int (Int64.logand w 1L))
-    in
-    go w 0
-  in
-  let overlap a b =
-    Array.fold_left ( + ) 0
-      (Array.mapi (fun i wa -> popcount (Int64.logand wa b.(i))) a)
+  for r = 0 to rounds - 1 do
+    for j = 0 to n - 1 do
+      Sim.set_input sim j
+        (Int64.to_int (Random.State.int64 st Int64.max_int))
+    done;
+    signatures r
+  done;
+  for j = 0 to n - 1 do
+    Sim.set_input sim j 0
+  done;
+  signatures rounds;
+  let overlap u v =
+    let acc = ref 0 in
+    for r = 0 to rounds - 1 do
+      acc := !acc + popcount (sigs.((r * n) + u) land sigs.((r * n) + v))
+    done;
+    let zero = sigs.((rounds * n) + u) land sigs.((rounds * n) + v) land 1 in
+    !acc + (rounds * zero)
   in
   let scored = ref [] in
-  let rec go = function
-    | [] -> ()
-    | (u, su) :: rest ->
-        List.iter (fun (v, sv) -> scored := (overlap su sv, (u, v)) :: !scored) rest;
-        go rest
-  in
-  go sigs;
+  for u = 0 to n - 2 do
+    for v = u + 1 to n - 1 do
+      scored := (overlap u v, (support.(u), support.(v))) :: !scored
+    done
+  done;
   List.sort compare !scored |> List.map snd
 
 let partition_of_selectors (p : Problem.t) ~u ~v ~mus ~alpha_sel ~beta_sel =
@@ -128,13 +130,11 @@ let find ?copies ?seed_limit ?(seed_order = Spread) ?time_budget
     let c =
       match copies with
       | Some c ->
-          assert (Copies.problem c == p && Copies.gate c = g);
+          Copies.validate "Mg.find" c p g;
           c
       | None -> Copies.create p g
     in
     let solver = Copies.solver c in
-    let calls0 = Solver.n_conflicts solver in
-    ignore calls0;
     let deadline =
       match time_budget with Some b -> t0 +. b | None -> infinity
     in

@@ -21,9 +21,10 @@ type seed_order =
   | Spread
       (** Index-distance ordering (large gaps first) — the default. *)
   | Signature
-      (** Simulation-guided: random 64-bit simulation computes a
-          sensitivity signature [dᵥ = f ⊕ f[v flipped]] per variable, and
-          pairs whose signatures overlap least are tried first — variables
+      (** Simulation-guided: seeded bit-parallel simulation
+          ({!Step_aig.Sim}) computes a sensitivity signature
+          [dᵥ = f ⊕ f[v flipped]] per variable, and pairs whose
+          signatures overlap least are tried first — variables
           that toggle the output on disjoint input regions are the most
           likely to sit in different blocks of a decomposition. Measured
           in ablation [a7]. *)
@@ -38,4 +39,6 @@ val find :
   result
 (** Scans seed pairs (bounded by [seed_limit], default [4 * n] capped to
     all pairs) until one admits a decomposition, then minimizes. Supports
-    of size < 2 are never decomposable. *)
+    of size < 2 are never decomposable.
+    @raise Invalid_argument if [copies] was built for another problem or
+    gate (see {!Copies.validate}). *)

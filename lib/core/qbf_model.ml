@@ -4,12 +4,15 @@ module Cardinality = Step_cnf.Cardinality
 module Obs = Step_obs.Obs
 module Clock = Step_obs.Clock
 module Metrics = Step_obs.Metrics
+module Sim = Step_aig.Sim
 
 let m_refinements = Metrics.counter "qbf.refinements"
 
 let m_queries = Metrics.counter "qbf.queries"
 
 let m_optimize = Metrics.counter "qbf.optimize_calls"
+
+let m_pairs_refuted = Metrics.counter "qbf.pairs_refuted"
 
 let h_query = Metrics.histogram "qbf.query_s"
 
@@ -204,6 +207,86 @@ let bound_assumptions abs target k =
             [ l ]
     end
 
+(* ---------- refinements ---------- *)
+
+(* A counterexample whose copies differ from X on [d1] (copy 1) and [d2]
+   (copy 2) refutes every partition with d1 ⊆ XA and d2 ⊆ XB:
+   [∨_{i ∈ d1} ¬αᵢ ∨ ∨_{i ∈ d2} ¬βᵢ]. The Prop.1 miter is symmetric in
+   copies 1 and 2 (OR/AND: [f' ∧ f''] up to polarity; XOR: swapping the
+   two copies also swaps what the s- and t-selectors equate), so the same
+   counterexample with the copies swapped refutes the mirror clause over
+   [(d2, d1)]: both are added. An empty clause would make the abstraction
+   unsatisfiable and report a decomposable function as not decomposable,
+   so it is an error rather than an [assert] that -noassert removes. *)
+let refine abs d1 d2 =
+  if d1 = [] && d2 = [] then
+    invalid_arg
+      "Qbf_model: empty refinement clause (the copies scaffold does not \
+       match the abstraction)";
+  let clause xa xb =
+    List.map (fun i -> Lit.negate abs.alpha.(Hashtbl.find abs.pos_of i)) xa
+    @ List.map (fun i -> Lit.negate abs.beta.(Hashtbl.find abs.pos_of i)) xb
+  in
+  ignore (Solver.add_clause abs.solver (clause d1 d2));
+  ignore (Solver.add_clause abs.solver (clause d2 d1))
+
+(* ---------- pair seeding by simulation ---------- *)
+
+(* Simulated vectors per problem: [seed_words] words of [Sim.lanes]
+   (1,008 at 63 lanes). *)
+let seed_words = 16
+
+(* Sensitivity of input j on a lane: OR needs f = 1 and f = 0 with j
+   flipped, AND the dual. A lane sensitive to both u and v is the
+   counterexample X = lane, X' = X with u flipped, X'' = X with v flipped
+   to the partition {u | v | rest}, so [refine abs [u] [v]] holds. It also
+   holds for any bound and target: moving inputs out of XA/XB into XC
+   keeps a partition decomposable, so every partition with u ∈ XA and
+   v ∈ XB is refuted by the same lane. XOR's witness needs a double flip
+   and is not seeded. *)
+let seed_pairs abs (p : Problem.t) g ~deadline =
+  match g with
+  | Gate.Xor_gate -> ()
+  | Gate.Or_gate | Gate.And_gate ->
+      Obs.span "qbf.seed" @@ fun () ->
+      let n = Array.length abs.support in
+      let sim = Sim.compile p.Problem.aig ~inputs:abs.support p.Problem.f in
+      let st = Random.State.make [| 0x5eed; n |] in
+      let sens = Array.make n 0 in
+      let refuted = Bytes.make (n * n) '\000' in
+      let words = ref 0 in
+      while !words < seed_words && Clock.now () <= deadline do
+        incr words;
+        for j = 0 to n - 1 do
+          Sim.set_input sim j (Int64.to_int (Random.State.bits64 st))
+        done;
+        let y = Sim.run_flips sim in
+        for j = 0 to n - 1 do
+          let yj = Sim.flipped sim j in
+          sens.(j) <-
+            (if g = Gate.Or_gate then y land lnot yj else lnot y land yj)
+        done;
+        for u = 0 to n - 2 do
+          let su = sens.(u) in
+          if su <> 0 then
+            for v = u + 1 to n - 1 do
+              if su land sens.(v) <> 0 then
+                Bytes.set refuted ((u * n) + v) '\001'
+            done
+        done
+      done;
+      let pairs = ref 0 in
+      for u = 0 to n - 2 do
+        for v = u + 1 to n - 1 do
+          if Bytes.get refuted ((u * n) + v) = '\001' then begin
+            refine abs [ abs.support.(u) ] [ abs.support.(v) ];
+            incr pairs
+          end
+        done
+      done;
+      Metrics.add m_pairs_refuted !pairs;
+      Obs.add_attr "pairs_refuted" (Step_obs.Json.Int !pairs)
+
 (* ---------- CEGAR query for a fixed bound ---------- *)
 
 type query_answer =
@@ -261,16 +344,8 @@ let query abs copies target k ~deadline ~refinement_cap ~refinements
           | Solver.Unsat -> Q_valid partition
           | Solver.Unknown -> Q_unknown
           | Solver.Sat ->
-              (* refinement clause over the differing inputs: every input
-                 whose s-equalities broke must be in XA, every input whose
-                 t-equalities broke must be in XB — exclude all candidates
-                 compatible with this counterexample *)
               let d1, d2 = Copies.diff_sets copies in
-              let lit_a i = Lit.negate abs.alpha.(Hashtbl.find abs.pos_of i) in
-              let lit_b i = Lit.negate abs.beta.(Hashtbl.find abs.pos_of i) in
-              let clause = List.map lit_a d1 @ List.map lit_b d2 in
-              assert (clause <> []);
-              ignore (Solver.add_clause abs.solver clause);
+              refine abs d1 d2;
               incr refinements;
               Metrics.inc m_refinements;
               loop ())
@@ -321,18 +396,7 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
     let copies =
       match copies with
       | Some c ->
-          (* a caller-supplied scaffold must be the one built for this
-             very problem/gate — an assert would vanish under -noassert
-             and let a mismatched scaffold verify the wrong formula *)
-          if Copies.problem c != p then
-            invalid_arg
-              "Qbf_model.optimize: copies built for a different problem";
-          if Copies.gate c <> g then
-            invalid_arg
-              (Printf.sprintf
-                 "Qbf_model.optimize: copies built for gate %s, not %s"
-                 (Gate.to_string (Copies.gate c))
-                 (Gate.to_string g));
+          Copies.validate "Qbf_model.optimize" c p g;
           c
       | None -> Copies.create p g
     in
@@ -348,7 +412,13 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
       | Weighted { wd; wb } -> (wd + wb) * (n - 2)
       | Disjointness | Balancedness | Combined -> n - 2
     in
+    (* seed on the first query: a bootstrap already at the floor asks none *)
+    let seeded = ref false in
     let ask k =
+      if not !seeded then begin
+        seeded := true;
+        seed_pairs abs p g ~deadline
+      end;
       query abs copies target k ~deadline ~refinement_cap:max_refinements
         ~refinements ~qbf_queries
     in

@@ -15,12 +15,23 @@
       the same CNF;
     - {e verification} of a candidate [(α,β)] is one incremental SAT call
       on the shared {!Copies} scaffold;
-    - a counterexample yields the single refinement clause
-      [∨_{i ∈ D1} ¬αᵢ ∨ ∨_{i ∈ D2} ¬βᵢ ∨ ∨_{i ∈ D3} cᵢ] where [D1/D2/D3]
-      are the inputs on which the counterexample's copies differ and
-      [cᵢ ⇔ ¬αᵢ ∧ ¬βᵢ] is the shared-variable indicator. Refinements are
-      valid for every bound [k], so they accumulate across the whole
-      optimum search.
+    - a counterexample yields the refinement clause
+      [∨_{i ∈ D1} ¬αᵢ ∨ ∨_{i ∈ D2} ¬βᵢ] where [D1]/[D2] are the inputs on
+      which the counterexample's copies 1/2 differ from [X], plus its
+      mirror over [(D2, D1)]: the Prop.1 miter is symmetric in copies 1
+      and 2, so the swapped counterexample refutes it too. An empty
+      clause raises [Invalid_argument] (it would make a decomposable
+      function look not decomposable);
+    - for OR and AND, before the first query, bit-parallel simulation
+      ({!Step_aig.Sim}, about a thousand seeded vectors) finds input
+      pairs [{u, v}] with a lane where [f = 1] (OR; [f = 0] for AND)
+      and flipping either input alone changes [f]; each such lane refutes
+      [{u} | {v} | rest], and since moving inputs into [XC] keeps a
+      partition decomposable, [(¬αᵤ ∨ ¬βᵥ)] and [(¬αᵥ ∨ ¬βᵤ)] are
+      added (see docs/ALGORITHMS.md §2.1).
+
+    All refinements are valid for every bound [k] and target, so they
+    accumulate across the whole optimum search.
 
     The target integer [k] instantiates the paper's constraints:
     (5) [|XC| ≤ k] for disjointness, (6) [0 ≤ |XA| − |XB| ≤ k] for
@@ -81,4 +92,6 @@ val optimize :
     provides the initial upper bound; without it the search first decides
     plain decomposability at the loosest bound. [symmetry_breaking]
     defaults to [true]. With a [bootstrap], the result is never worse than
-    it (mirroring the paper's setup). *)
+    it (mirroring the paper's setup).
+    @raise Invalid_argument if [copies] was built for another problem or
+    gate (see {!Copies.validate}). *)

@@ -5,6 +5,7 @@ module Aig = Step_aig.Aig
 module Circuit = Step_aig.Circuit
 module Blif = Step_aig.Blif
 module Aag = Step_aig.Aag
+module Sim = Step_aig.Sim
 
 (* ---------- random Boolean expressions ---------- *)
 
@@ -107,6 +108,32 @@ let test_support () =
   let g = Aig.or_ m x (Aig.not_ y) in
   Alcotest.(check (list int)) "support" [ 0; 1 ] (Aig.support m g);
   Alcotest.(check (list int)) "const support" [] (Aig.support m Aig.t_)
+
+let test_sim_kernel () =
+  let m = Aig.create () in
+  let x = Aig.fresh_input m and y = Aig.fresh_input m in
+  let z = Aig.fresh_input m in
+  let g = Aig.or_ m (Aig.and_ m x y) (Aig.not_ z) in
+  let sim = Sim.compile m ~inputs:[| 2; 0; 1 |] g in
+  Sim.set_input sim 0 0b1100;
+  Sim.set_input sim 1 0b1010;
+  Sim.set_input sim 2 0b1111;
+  (* g = (x & y) | ~z is 0 only on lane 2, where z = 1 and x = 0 *)
+  Alcotest.(check int) "lanes" (lnot 0b0100) (Sim.run sim);
+  ignore (Sim.run_flips sim);
+  Alcotest.(check int) "x flipped" (lnot 0b1000) (Sim.flipped sim 1);
+  (* repeated simulation reuses the compiled buffers: no allocation *)
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sim.run_flips sim)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "run_flips allocates nothing" true (words < 64.0);
+  Alcotest.check_raises "input outside the positions"
+    (Invalid_argument "Sim.compile: cone input missing from [inputs]")
+    (fun () -> ignore (Sim.compile m ~inputs:[| 0; 1 |] g));
+  let const = Sim.compile m ~inputs:[||] Aig.t_ in
+  Alcotest.(check int) "constant true" (-1) (Sim.run const)
 
 let test_cofactor () =
   let m = Aig.create () in
@@ -491,12 +518,29 @@ let prop_sim64_matches_eval =
         !w
       in
       let v = Aig.sim64 m pat edge in
+      (* the compiled kernel on the same lanes, plus each input flipped *)
+      let sim = Sim.compile m ~inputs:(Array.init n_test_vars Fun.id) edge in
+      for i = 0 to n_test_vars - 1 do
+        Sim.set_input sim i (Int64.to_int (pat i))
+      done;
+      let w = Sim.run_flips sim in
+      let lane word mask = (word lsr mask) land 1 = 1 in
       List.for_all
         (fun mask ->
           mask >= 64
           || Int64.logand (Int64.shift_right_logical v mask) 1L
              = (if Aig.eval m (env_of_mask mask) edge then 1L else 0L))
-        all_masks)
+        all_masks
+      && List.for_all
+           (fun mask ->
+             mask >= Sim.lanes
+             || lane w mask = Aig.eval m (env_of_mask mask) edge
+                && List.for_all
+                     (fun j ->
+                       lane (Sim.flipped sim j) mask
+                       = Aig.eval m (env_of_mask (mask lxor (1 lsl j))) edge)
+                     (List.init n_test_vars Fun.id))
+           all_masks)
 
 let prop_cofactor_semantics =
   QCheck2.Test.make ~count:200 ~name:"cofactor fixes a variable"
@@ -576,6 +620,7 @@ let () =
           Alcotest.test_case "constants" `Quick test_constants;
           Alcotest.test_case "strashing" `Quick test_strashing;
           Alcotest.test_case "support" `Quick test_support;
+          Alcotest.test_case "sim kernel" `Quick test_sim_kernel;
           Alcotest.test_case "cofactor" `Quick test_cofactor;
           Alcotest.test_case "quantify" `Quick test_quantify;
           Alcotest.test_case "blowup guard" `Quick test_blowup_guard;

@@ -301,6 +301,38 @@ let test_qbf_copies_mismatch_rejected () =
         (has_sub "OR" msg && has_sub "AND" msg)
   | _ -> Alcotest.fail "expected Invalid_argument on gate mismatch"
 
+let test_mg_copies_mismatch_rejected () =
+  (* same contract as Qbf_model.optimize: Invalid_argument, not assert *)
+  let p1, _ = planted_problem Gate.Or_gate 71 in
+  let p2, _ = planted_problem Gate.Or_gate 73 in
+  let copies = Copies.create p1 Gate.Or_gate in
+  (match Mg.find ~copies p2 Gate.Or_gate with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument on problem mismatch");
+  match Mg.find ~copies p1 Gate.And_gate with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument on gate mismatch"
+
+let test_qbf_simulation_refutes_parity () =
+  (* every lane with f = 1 is sensitive to every input of a parity, so
+     simulation refutes all pairs under OR and AND: the abstraction is
+     unsatisfiable before the first verification call *)
+  let m = Aig.create () in
+  let xs = List.init 5 (fun _ -> Aig.fresh_input m) in
+  let p = Problem.of_edge m (Aig.xor_list m xs) in
+  let refuted = Step_obs.Metrics.counter "qbf.pairs_refuted" in
+  List.iter
+    (fun g ->
+      let before = Step_obs.Metrics.value refuted in
+      let o = Qbf_model.optimize p g Qbf_model.Disjointness in
+      Alcotest.(check bool) "not decomposable" true
+        (o.Qbf_model.partition = None);
+      Alcotest.(check bool) "optimal" true o.Qbf_model.optimal;
+      Alcotest.(check int) "no SAT refinements" 0 o.Qbf_model.refinements;
+      Alcotest.(check int) "all pairs refuted" 10
+        (Step_obs.Metrics.value refuted - before))
+    [ Gate.Or_gate; Gate.And_gate ]
+
 let test_qbf_bootstrap_never_worse () =
   let p, _ = planted_problem Gate.Or_gate 37 in
   let copies = Copies.create p Gate.Or_gate in
@@ -622,17 +654,20 @@ let prop_qbf_optimal_vs_exhaustive =
     (fun (e, g) ->
       let p = problem_of_expr n_prop_vars e in
       if List.length p.Problem.support < 2 then true
-      else begin
-        let o = Qbf_model.optimize p g Qbf_model.Disjointness in
-        let ex = Exhaustive.best ~objective:Partition.disjointness_k p g in
-        match (o.Qbf_model.partition, ex) with
-        | Some qp, Some ep ->
-            o.Qbf_model.optimal
-            && Partition.disjointness_k qp = Partition.disjointness_k ep
-            && Check.decomposable p g qp = Some true
-        | None, None -> true
-        | Some _, None | None, Some _ -> false
-      end)
+      else
+        (* each target against exhaustive search under its own objective *)
+        List.for_all
+          (fun target ->
+            let o = Qbf_model.optimize p g target in
+            let objective = Qbf_model.target_k target in
+            match (o.Qbf_model.partition, Exhaustive.best ~objective p g) with
+            | Some qp, Some ep ->
+                o.Qbf_model.optimal
+                && objective qp = objective ep
+                && Check.decomposable p g qp = Some true
+            | None, None -> o.Qbf_model.optimal
+            | Some _, None | None, Some _ -> false)
+          Qbf_model.[ Disjointness; Balancedness; Combined ])
 
 let prop_gate_full_verified =
   QCheck2.Test.make ~count:60 ~name:"derived gates decompose verifiably"
@@ -706,6 +741,10 @@ let () =
             test_qbf_copies_mismatch_rejected;
           Alcotest.test_case "bootstrap never worse" `Quick
             test_qbf_bootstrap_never_worse;
+          Alcotest.test_case "mg copies mismatch rejected" `Quick
+            test_mg_copies_mismatch_rejected;
+          Alcotest.test_case "simulation refutes parity" `Quick
+            test_qbf_simulation_refutes_parity;
         ] );
       ( "extract",
         [

@@ -5,7 +5,8 @@
 module Circuit = Step_aig.Circuit
 module Gate = Step_core.Gate
 module Partition = Step_core.Partition
-module Pipeline = Step_engine.Pipeline
+module Method = Step_core.Method
+module Engine = Step_engine.Engine
 
 type config = {
   per_po_budget : float;
@@ -32,13 +33,13 @@ let default_config =
   }
 
 let all_methods =
-  [ Pipeline.Ljh; Pipeline.Mg; Pipeline.Qd; Pipeline.Qb; Pipeline.Qdb ]
+  [ Method.Ljh; Method.Mg; Method.Qd; Method.Qb; Method.Qdb ]
 
-let qbf_methods = [ Pipeline.Qd; Pipeline.Qb; Pipeline.Qdb ]
+let qbf_methods = [ Method.Qd; Method.Qb; Method.Qdb ]
 
-type key = { circuit : string; gate : Gate.t; method_ : Pipeline.method_ }
+type key = { circuit : string; gate : Gate.t; method_ : Method.t }
 
-let cache : (key, Pipeline.circuit_result) Hashtbl.t = Hashtbl.create 64
+let cache : (key, Engine.circuit_result) Hashtbl.t = Hashtbl.create 64
 
 (* The engine-level decomposition cache (canonical cone memoization) is
    distinct from the result cache above: one instance shared by every run
@@ -107,10 +108,7 @@ let run config circuit gate method_ =
           certify = config.certify;
         }
       in
-      let r =
-        Step_engine.Engine.run
-          (Step_engine.Engine.create ~config:engine_config circuit)
-      in
+      let r = Engine.run (Engine.create ~config:engine_config circuit) in
       Hashtbl.replace cache key r;
       r
 
@@ -120,14 +118,14 @@ let dump_json config ~dir ~artifact =
   let module J = Step_obs.Json in
   let results =
     Hashtbl.fold (fun _ r acc -> r :: acc) cache []
-    |> List.sort (fun (a : Pipeline.circuit_result) b ->
+    |> List.sort (fun (a : Engine.circuit_result) b ->
            compare
-             ( a.Pipeline.circuit_name,
-               Pipeline.method_name a.Pipeline.method_used,
-               Gate.to_string a.Pipeline.gate_used )
-             ( b.Pipeline.circuit_name,
-               Pipeline.method_name b.Pipeline.method_used,
-               Gate.to_string b.Pipeline.gate_used ))
+             ( a.circuit_name,
+               Method.to_string a.method_used,
+               Gate.to_string a.gate_used )
+             ( b.circuit_name,
+               Method.to_string b.method_used,
+               Gate.to_string b.gate_used ))
   in
   let cache_hits, cache_misses, cache_entries =
     match !deco_cache with
@@ -190,20 +188,20 @@ let dump_json config ~dir ~artifact =
 
 (* per-PO metric comparison between a QBF method and a baseline: counts
    (better, equal, comparable) over POs decomposed by both *)
-let compare_metric (metric : Partition.t -> float) (challenger : Pipeline.circuit_result)
-    (baseline : Pipeline.circuit_result) =
+let compare_metric (metric : Partition.t -> float) (challenger : Engine.circuit_result)
+    (baseline : Engine.circuit_result) =
   let better = ref 0 and equal = ref 0 and total = ref 0 in
   Array.iteri
     (fun i cr ->
-      let br = baseline.Pipeline.per_po.(i) in
-      match (cr.Pipeline.partition, br.Pipeline.partition) with
+      let br = baseline.Engine.per_po.(i) in
+      match (cr.Engine.partition, br.Engine.partition) with
       | Some cp, Some bp ->
           incr total;
           let mc = metric cp and mb = metric bp in
           if mc < mb -. 1e-9 then incr better
           else if Float.abs (mc -. mb) <= 1e-9 then incr equal
       | _, _ -> ())
-    challenger.Pipeline.per_po;
+    challenger.Engine.per_po;
   (!better, !equal, !total)
 
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b

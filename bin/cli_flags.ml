@@ -47,6 +47,15 @@ let load_circuit path_or_name =
              "%s: not a file and not a known benchmark name (try `step suite`)"
              path_or_name)
 
+(* A --po index is checked like an input path: out of range is a usage
+   error, not a crash. *)
+let check_po (c : Circuit.t) i =
+  let n = Circuit.n_outputs c in
+  if i < 0 || i >= n then
+    input_error
+      (Printf.sprintf "po %d out of range (%s has %d outputs)" i
+         c.Circuit.name n)
+
 let circuit_arg =
   let doc =
     "Input circuit: a .blif or .aag file, or a named benchmark from the \

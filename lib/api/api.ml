@@ -7,7 +7,6 @@ module Certify = Step_core.Certify
 module Config = Step_engine.Config
 module Retry = Step_engine.Retry
 module Engine = Step_engine.Engine
-module Pipeline = Step_engine.Pipeline
 module Report = Step_engine.Report
 
 let schema_version = 1
@@ -149,26 +148,25 @@ let empty_patch =
     check_artifacts = None;
   }
 
-let apply_patch p config =
-  let app f v c = match v with None -> c | Some v -> f v c in
-  config
-  |> app Config.with_gate p.gate
-  |> app Config.with_method p.method_
-  |> app Config.with_per_po_budget p.per_po_budget
-  |> app Config.with_total_budget p.total_budget
-  |> app Config.with_min_support p.min_support
-  |> app Config.with_jobs p.jobs
-  |> app
-       (fun r c ->
-         Config.with_retry
-           { Retry.default with Retry.max_attempts = r + 1 }
-           c)
-       p.retries
-  |> app Config.with_fallback p.fallback
-  |> app Config.with_certify p.certify
-  |> app Config.with_check_artifacts p.check_artifacts
-  |> fun c ->
-  match p.cache with Some false -> Config.with_cache None c | _ -> c
+let apply_patch p (c : Config.t) =
+  {
+    c with
+    gate = Option.value p.gate ~default:c.gate;
+    method_ = Option.value p.method_ ~default:c.method_;
+    per_po_budget = Option.value p.per_po_budget ~default:c.per_po_budget;
+    total_budget = Option.value p.total_budget ~default:c.total_budget;
+    min_support = Option.value p.min_support ~default:c.min_support;
+    jobs = Option.value p.jobs ~default:c.jobs;
+    retry =
+      (match p.retries with
+      | Some r -> { Retry.default with Retry.max_attempts = r + 1 }
+      | None -> c.retry);
+    fallback = Option.value p.fallback ~default:c.fallback;
+    certify = Option.value p.certify ~default:c.certify;
+    check_artifacts =
+      Option.value p.check_artifacts ~default:c.check_artifacts;
+    cache = (if p.cache = Some false then None else c.cache);
+  }
 
 let patch_keys =
   [
@@ -440,9 +438,9 @@ type po_record = {
   counters : (string * int) list;
 }
 
-let po_record_of_result (r : Pipeline.po_result) =
+let po_record_of_result (r : Engine.po_result) =
   let xa, xb, xc, ed, eb =
-    match r.Pipeline.partition with
+    match r.Engine.partition with
     | None -> (0, 0, 0, nan, nan)
     | Some p ->
         ( List.length p.Partition.xa,
@@ -452,22 +450,22 @@ let po_record_of_result (r : Pipeline.po_result) =
           Partition.balancedness p )
   in
   {
-    po = r.Pipeline.po_name;
-    support = r.Pipeline.support_size;
-    decomposed = r.Pipeline.partition <> None;
-    optimal = r.Pipeline.proven_optimal;
-    timed_out = r.Pipeline.timed_out;
+    po = r.Engine.po_name;
+    support = r.Engine.support_size;
+    decomposed = r.Engine.partition <> None;
+    optimal = r.Engine.proven_optimal;
+    timed_out = r.Engine.timed_out;
     status = Engine.po_status r;
-    method_name = Method.to_string r.Pipeline.method_used;
-    attempts = r.Pipeline.attempts;
+    method_name = Method.to_string r.method_used;
+    attempts = r.Engine.attempts;
     xa;
     xb;
     xc;
     ed;
     eb;
-    cpu_s = r.Pipeline.cpu;
+    cpu_s = r.Engine.cpu;
     cache =
-      Option.map (fun hit -> if hit then "hit" else "miss") r.Pipeline.cache_hit;
+      Option.map (fun hit -> if hit then "hit" else "miss") r.Engine.cache_hit;
     cert =
       Option.map
         (fun c ->
@@ -476,18 +474,18 @@ let po_record_of_result (r : Pipeline.po_result) =
             proof_bytes = c.Certify.proof_bytes;
             cert_s = c.Certify.gen_s +. c.Certify.check_s;
           })
-        r.Pipeline.certificate;
-    degraded = r.Pipeline.degraded;
+        r.Engine.certificate;
+    degraded = r.Engine.degraded;
     failure =
       Option.map
-        (fun (f : Pipeline.po_failure) ->
+        (fun (f : Engine.po_failure) ->
           {
-            fail_error = f.Pipeline.error;
-            fail_attempts = f.Pipeline.attempts;
-            fail_transient = f.Pipeline.transient;
+            fail_error = f.Engine.error;
+            fail_attempts = f.Engine.attempts;
+            fail_transient = f.Engine.transient;
           })
-        r.Pipeline.failure;
-    counters = r.Pipeline.counters;
+        r.Engine.failure;
+    counters = r.Engine.counters;
   }
 
 let counters_json cs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs)
@@ -676,17 +674,17 @@ type run_summary = {
   counters : (string * int) list;
 }
 
-let summary_of_result (r : Pipeline.circuit_result) =
+let summary_of_result (r : Engine.circuit_result) =
   let a = Report.aggregate_of r in
   let cache_hits, cache_misses = Report.cache_counts r in
   let cert_checked, cert_failed = Report.cert_counts r in
   let cert_proof_bytes, cert_s = Report.cert_totals r in
   {
-    circuit = r.Pipeline.circuit_name;
-    s_method = Method.to_string r.Pipeline.method_used;
-    gate = Gate.to_string r.Pipeline.gate_used;
-    n_outputs = Array.length r.Pipeline.per_po;
-    n_decomposed = r.Pipeline.n_decomposed;
+    circuit = r.Engine.circuit_name;
+    s_method = Method.to_string r.method_used;
+    gate = Gate.to_string r.Engine.gate_used;
+    n_outputs = Array.length r.Engine.per_po;
+    n_decomposed = r.Engine.n_decomposed;
     n_failed = a.Report.n_failed;
     n_degraded = a.Report.n_degraded;
     cache_hits;
@@ -695,7 +693,7 @@ let summary_of_result (r : Pipeline.circuit_result) =
     cert_failed;
     cert_proof_bytes;
     cert_s;
-    total_cpu_s = r.Pipeline.total_cpu;
+    total_cpu_s = r.Engine.total_cpu;
     counters = Report.counters_of r;
   }
 
@@ -786,7 +784,7 @@ let summary_of_json j =
       counters;
     }
 
-let run_to_json (r : Pipeline.circuit_result) =
+let run_to_json (r : Engine.circuit_result) =
   Json.Obj
     (("schema_version", Json.Int schema_version)
     :: summary_fields (summary_of_result r)
@@ -796,7 +794,7 @@ let run_to_json (r : Pipeline.circuit_result) =
             (Array.to_list
                (Array.map
                   (fun po -> po_to_json (po_record_of_result po))
-                  r.Pipeline.per_po)) );
+                  r.Engine.per_po)) );
       ])
 
 (* ---------- responses ---------- *)

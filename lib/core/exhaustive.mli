@@ -2,7 +2,9 @@
 
     The ground truth the paper's QBF models are meant to match: every
     non-trivial partition of the support is checked for decomposability
-    and scored. Exponential ([3^n] partitions) — test/ablation use only. *)
+    and scored. Exponential ([3^n] partitions) — oracle use only. It
+    lives in [lib], not [test], because [bin/fuzz.ml] and the benchmark's
+    reference builder call it. *)
 
 val best :
   ?objective:(Partition.t -> int) ->

@@ -79,29 +79,3 @@ let validate c =
             Error
               (Printf.sprintf "fallback ladder repeats %s" (Method.to_string m))
         | None -> Ok c)
-
-let with_gate gate c = { c with gate }
-
-let with_method method_ c = { c with method_ }
-
-let with_per_po_budget per_po_budget c = { c with per_po_budget }
-
-let with_total_budget total_budget c = { c with total_budget }
-
-let with_min_support min_support c = { c with min_support }
-
-let with_check_artifacts check_artifacts c = { c with check_artifacts }
-
-let with_jobs jobs c = { c with jobs }
-
-let with_retry retry c = { c with retry }
-
-let with_fallback fallback c = { c with fallback }
-
-let with_trace trace c = { c with trace }
-
-let with_stats stats c = { c with stats }
-
-let with_cache cache c = { c with cache }
-
-let with_certify certify c = { c with certify }

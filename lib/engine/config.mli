@@ -1,14 +1,10 @@
-(** Engine run configuration — the record that replaces [Pipeline]'s
-    optional-argument sprawl.
+(** Engine run configuration: one record holding every knob of a run.
 
-    Build one with record update syntax or the [with_*] builders
-    (pipeline-friendly argument order):
+    Build one with record update syntax:
 
     {[
       let config =
-        Config.default
-        |> Config.with_method Step_core.Method.Qd
-        |> Config.with_jobs 4
+        { Config.default with method_ = Step_core.Method.Qd; jobs = 4 }
     ]}
 
     [Engine.create] validates the configuration and rejects invalid ones
@@ -76,29 +72,3 @@ val fallback_of_string : string -> (Step_core.Method.t list, string) result
 (** Parse a CLI ladder spec: method names separated by ['>'], e.g.
     ["qdb>qb>mg"] — any spelling {!Step_core.Method.of_string} takes.
     Rejects empty ladders, unknown names, and repeats. *)
-
-val with_gate : Step_core.Gate.t -> t -> t
-
-val with_method : Step_core.Method.t -> t -> t
-
-val with_per_po_budget : float -> t -> t
-
-val with_total_budget : float -> t -> t
-
-val with_min_support : int -> t -> t
-
-val with_check_artifacts : bool -> t -> t
-
-val with_jobs : int -> t -> t
-
-val with_retry : Retry.policy -> t -> t
-
-val with_fallback : Step_core.Method.t list -> t -> t
-
-val with_trace : Step_obs.Obs.sink option -> t -> t
-
-val with_stats : (string -> unit) option -> t -> t
-
-val with_cache : Step_cache.Cache.t option -> t -> t
-
-val with_certify : bool -> t -> t

@@ -16,12 +16,6 @@ module Mg = Step_core.Mg
 module Qbf_model = Step_core.Qbf_model
 module Certify = Step_core.Certify
 
-let method_to_string = Method.to_string
-
-let method_of_string = Method.of_string
-
-let method_of_string_opt = Method.of_string_opt
-
 (* supervision telemetry, merged across runs and worker domains *)
 let m_retries = Metrics.counter "engine.retries"
 
@@ -171,11 +165,11 @@ let cache_key ~gate ~method_ ~budget ~min_support cone =
     (Method.to_string method_) budget min_support cone.Cone.key
 
 (* The single-output kernel. Works in place on [circuit]'s manager: the
-   QBF methods add copy inputs and scratch nodes to it (the session API
-   hands every job a private compacted copy instead). [cache] is the
-   cache paired with the configured per-PO budget for the key. *)
-let decompose_on ?cache ?(certify = false) ~per_po_budget ~min_support
-    ~check_artifacts circuit i gate method_ =
+   QBF methods add copy inputs and scratch nodes to it, so every job hands
+   it a private compacted copy. [per_po_budget] may be clamped by the
+   remaining total budget; cache keys use the configured one. *)
+let decompose_on (cfg : Config.t) ~per_po_budget circuit i gate method_ =
+  let certify = cfg.Config.certify in
   let name = Circuit.output_name circuit i in
   Obs.span
     ~attrs:
@@ -191,48 +185,43 @@ let decompose_on ?cache ?(certify = false) ~per_po_budget ~min_support
   let n = Problem.n_vars p in
   let finish ?cache_hit ?certificate ?(counters = []) partition proven_optimal
       timed_out =
-    let status =
-      match partition with
-      | Some _ when proven_optimal -> "optimal"
-      | Some _ -> "decomposed"
-      | None -> if timed_out then "timeout" else "indecomposable"
-    in
-    Obs.add_attr "n" (Json.Int n);
-    Obs.add_attr "status" (Json.String status);
-    (match cache_hit with
-    | Some hit ->
-        Obs.add_attr "cache" (Json.String (if hit then "hit" else "miss"))
-    | None -> ());
-    (match partition with
-    | Some part ->
-        let part = Partition.canonical part in
-        Obs.add_attr "xc" (Json.Int (List.length part.Partition.xc))
-    | None -> ());
     let partition = Option.map Partition.canonical partition in
     let diags =
-      if not check_artifacts then []
-      else
-        match partition with
-        | Some part -> Partition.lint ~name ~support:p.Problem.support part
-        | None -> []
+      match partition with
+      | Some part when cfg.Config.check_artifacts ->
+          Partition.lint ~name ~support:p.Problem.support part
+      | _ -> []
     in
-    Metrics.observe h_po (Clock.elapsed_since t0);
-    {
-      po_name = name;
-      support_size = n;
-      partition;
-      proven_optimal;
-      timed_out;
+    let cpu = Clock.elapsed_since t0 in
+    Metrics.observe h_po cpu;
+    let r =
+      {
+        po_name = name;
+        support_size = n;
+        partition;
+        proven_optimal;
+        timed_out;
+        cache_hit;
+        cpu;
+        counters;
+        diags;
+        method_used = method_;
+        degraded = false;
+        attempts = 1;
+        failure = None;
+        certificate;
+      }
+    in
+    Obs.add_attr "n" (Json.Int n);
+    Obs.add_attr "status" (Json.String (po_status r));
+    Option.iter
+      (fun hit ->
+        Obs.add_attr "cache" (Json.String (if hit then "hit" else "miss")))
       cache_hit;
-      cpu = Clock.elapsed_since t0;
-      counters;
-      diags;
-      method_used = method_;
-      degraded = false;
-      attempts = 1;
-      failure = None;
-      certificate;
-    }
+    Option.iter
+      (fun part -> Obs.add_attr "xc" (Json.Int (List.length part.Partition.xc)))
+      partition;
+    r
   in
   (* Certificates re-solve the answer with proof logging on, so they are
      only built when asked for, and never for timeouts (a timeout is not
@@ -244,16 +233,16 @@ let decompose_on ?cache ?(certify = false) ~per_po_budget ~min_support
             problem gate partition)
     else None
   in
-  if n < max 2 min_support then finish None true false
+  if n < max 2 cfg.Config.min_support then finish None true false
   else begin
-    match cache with
+    match cfg.Config.cache with
     | None ->
         let partition, optimal, timed_out, counters =
           solve_kernel ~per_po_budget p gate method_
         in
         let certificate = mk_cert p partition timed_out in
         finish ?certificate ~counters partition optimal timed_out
-    | Some (cache, configured_budget) ->
+    | Some cache ->
         (* Canonicalize the cone; on a miss solve the canonical rebuild,
            not the original, so the stored entry is a pure function of
            the key (two isomorphic cones would otherwise race to publish
@@ -264,7 +253,8 @@ let decompose_on ?cache ?(certify = false) ~per_po_budget ~min_support
               Cone.extract circuit.Circuit.aig (Circuit.output circuit i))
         in
         let key =
-          cache_key ~gate ~method_ ~budget:configured_budget ~min_support cone
+          cache_key ~gate ~method_ ~budget:cfg.Config.per_po_budget
+            ~min_support:cfg.Config.min_support cone
         in
         (* the canonical rebuild serves both the miss solve and any
            certificate work; built at most once per call *)
@@ -323,17 +313,13 @@ let score (r : po_result) =
    slice is an even share of the budget *still unspent*, so a gate that
    finishes early (tiny support, fast UNSAT) hands its slack to the
    remaining gates instead of wasting it. *)
-let decompose_auto_on ?cache ?certify ~per_po_budget ~min_support
-    ~check_artifacts circuit i method_ =
+let decompose_auto_on cfg ~per_po_budget circuit i method_ =
   let _, rev_candidates =
     List.fold_left
       (fun (remaining, acc) gate ->
         let gates_left = List.length Gate.all - List.length acc in
         let slice = remaining /. float_of_int gates_left in
-        let r =
-          decompose_on ?cache ?certify ~per_po_budget:slice ~min_support
-            ~check_artifacts circuit i gate method_
-        in
+        let r = decompose_on cfg ~per_po_budget:slice circuit i gate method_ in
         (Float.max 0.0 (remaining -. r.cpu), (gate, r) :: acc))
       (per_po_budget, []) Gate.all
   in
@@ -413,35 +399,25 @@ let po_failure_of (f : Retry.failure) =
    results independent of [jobs]. *)
 let job_circuit eng = Circuit.compact eng.circuit
 
-(* The configured (unclamped) per-PO budget rides along with the cache so
-   keys stay independent of how much total budget happened to be left. *)
-let job_cache cfg =
-  Option.map
-    (fun c -> (c, cfg.Config.per_po_budget))
-    cfg.Config.cache
+(* The per-output budget, clamped to what is left before [deadline];
+   [None] once the total budget is spent. *)
+let job_budget eng ~deadline =
+  let remaining = deadline -. Clock.now () in
+  if remaining <= 0.0 then None
+  else Some (Float.min eng.config.Config.per_po_budget remaining)
 
 let run_method_job eng ~deadline method_ i =
-  let cfg = eng.config in
-  let remaining = deadline -. Clock.now () in
-  if remaining <= 0.0 then
-    timeout_stub ~method_ (Circuit.output_name eng.circuit i)
-  else
-    decompose_on ?cache:(job_cache cfg) ~certify:cfg.Config.certify
-      ~per_po_budget:(Float.min cfg.Config.per_po_budget remaining)
-      ~min_support:cfg.Config.min_support
-      ~check_artifacts:cfg.Config.check_artifacts (job_circuit eng) i
-      cfg.Config.gate method_
+  match job_budget eng ~deadline with
+  | None -> timeout_stub ~method_ (Circuit.output_name eng.circuit i)
+  | Some per_po_budget ->
+      decompose_on eng.config ~per_po_budget (job_circuit eng) i
+        eng.config.Config.gate method_
 
 let run_auto_method_job eng ~deadline method_ i =
-  let cfg = eng.config in
-  let remaining = deadline -. Clock.now () in
-  if remaining <= 0.0 then
-    (None, timeout_stub ~method_ (Circuit.output_name eng.circuit i))
-  else
-    decompose_auto_on ?cache:(job_cache cfg) ~certify:cfg.Config.certify
-      ~per_po_budget:(Float.min cfg.Config.per_po_budget remaining)
-      ~min_support:cfg.Config.min_support
-      ~check_artifacts:cfg.Config.check_artifacts (job_circuit eng) i method_
+  match job_budget eng ~deadline with
+  | None -> (None, timeout_stub ~method_ (Circuit.output_name eng.circuit i))
+  | Some per_po_budget ->
+      decompose_auto_on eng.config ~per_po_budget (job_circuit eng) i method_
 
 (* A result a degradation rung may stand on: either a partition was
    found or the method reached a real verdict (indecomposable). A
@@ -544,12 +520,12 @@ let decompose_po eng i = run_job eng ~deadline:infinity i
 
 let decompose_po_auto eng i = run_auto_job eng ~deadline:infinity i
 
-(* Install the config's sinks around [body], then fan the per-output jobs
-   over the pool. The span wraps the whole run; with [jobs = 1] the jobs
-   execute inline in the calling domain, so their "pipeline.po" spans nest
-   under "pipeline.run" exactly as the sequential pipeline's did. Worker
-   domains have their own span stacks, so under [jobs > 1] the per-output
-   spans are delivered as roots (still serialized through the sink). *)
+(* Install the config's sinks around [body], which fans the per-output
+   jobs over the pool. The span wraps the whole run; with [jobs = 1] the
+   jobs execute inline in the calling domain, so their "pipeline.po" spans
+   nest under the run span. Worker domains have their own span stacks, so
+   under [jobs > 1] the per-output spans are delivered as roots (still
+   serialized through the sink). *)
 let with_run_obs eng span_name body =
   let cfg = eng.config in
   let traced () =
@@ -575,26 +551,36 @@ let with_run_obs eng span_name body =
   | Some deliver -> deliver (Metrics.render ()));
   result
 
-let run eng =
+(* Fans one supervised job per output over the pool and tags the run
+   span with the outcome counts; [row] projects a job's result onto its
+   row. Returns the results in output order and the number decomposed. *)
+let fan_out eng ~row job =
   let cfg = eng.config in
-  with_run_obs eng "pipeline.run" @@ fun () ->
-  let t0 = Clock.now () in
-  let deadline = t0 +. cfg.Config.total_budget in
-  let per_po =
+  let deadline = Clock.now () +. cfg.Config.total_budget in
+  let results =
     Pool.map_result ~fatal:Retry.fatal ~jobs:cfg.Config.jobs
       (Circuit.n_outputs eng.circuit)
-      (run_job eng ~deadline)
+      (job eng ~deadline)
     |> Array.map (function
          | Ok r -> r
          (* supervision converts non-fatal failures into rows; anything
             still escaping is a harness bug and must surface *)
          | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
   in
-  let count p = Array.fold_left (fun acc r -> if p r then acc + 1 else acc) 0 per_po in
+  let count p =
+    Array.fold_left (fun acc x -> if p (row x) then acc + 1 else acc) 0 results
+  in
   let n_decomposed = count (fun r -> r.partition <> None) in
   Obs.add_attr "n_decomposed" (Json.Int n_decomposed);
   Obs.add_attr "n_failed" (Json.Int (count (fun r -> po_status r = "failed")));
   Obs.add_attr "n_degraded" (Json.Int (count (fun r -> r.degraded)));
+  (results, n_decomposed)
+
+let run eng =
+  let cfg = eng.config in
+  with_run_obs eng "pipeline.run" @@ fun () ->
+  let t0 = Clock.now () in
+  let per_po, n_decomposed = fan_out eng ~row:Fun.id run_job in
   {
     circuit_name = eng.circuit.Circuit.name;
     method_used = cfg.Config.method_;
@@ -607,22 +593,5 @@ let run eng =
   }
 
 let run_auto eng =
-  let cfg = eng.config in
   with_run_obs eng "pipeline.auto" @@ fun () ->
-  let t0 = Clock.now () in
-  let deadline = t0 +. cfg.Config.total_budget in
-  let results =
-    Pool.map_result ~fatal:Retry.fatal ~jobs:cfg.Config.jobs
-      (Circuit.n_outputs eng.circuit)
-      (run_auto_job eng ~deadline)
-    |> Array.map (function
-         | Ok r -> r
-         | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-  in
-  let n_decomposed =
-    Array.fold_left
-      (fun acc (_, r) -> if r.partition <> None then acc + 1 else acc)
-      0 results
-  in
-  Obs.add_attr "n_decomposed" (Json.Int n_decomposed);
-  results
+  fst (fan_out eng ~row:snd run_auto_job)

@@ -6,31 +6,15 @@
     queue; each job solves on a private compacted copy of the circuit
     (solver scaffolding never touches the session circuit), so the
     result array is deterministic and identically ordered for any
-    [jobs] value. The sequential [Pipeline] module is a thin shim over
-    this API.
+    [jobs] value.
 
     {[
       let eng =
-        Engine.create
-          ~config:(Config.default |> Config.with_jobs 4)
-          circuit
+        Engine.create ~config:{ Config.default with jobs = 4 } circuit
       in
       let result = Engine.run eng in
       Printf.printf "#Dec = %d\n" result.n_decomposed
     ]} *)
-
-(** {1 Methods}
-
-    The canonical method type lives in {!Step_core.Method}; these
-    re-exports keep CLI round-trips total: for every method [m],
-    [method_of_string (method_to_string m) = m]. *)
-
-val method_to_string : Step_core.Method.t -> string
-
-val method_of_string : string -> Step_core.Method.t
-(** @raise Failure on unknown names; see {!Step_core.Method.of_string}. *)
-
-val method_of_string_opt : string -> Step_core.Method.t option
 
 (** {1 Results} *)
 
@@ -120,7 +104,7 @@ val config : t -> Config.t
 
 val run : t -> circuit_result
 (** Decomposes every primary output under the session config. Jobs are
-    fanned over [config.jobs] domains ({!Pool.map}); output [i] of the
+    fanned over [config.jobs] domains ({!Pool.map_result}); output [i] of the
     result is always output [i] of the circuit. When [total_budget]
     expires, jobs not yet started are cancelled cooperatively and
     reported as timed out ([cpu = 0.], [support_size = 0]). Installs
@@ -139,40 +123,6 @@ val decompose_po : t -> int -> po_result
 
 val decompose_po_auto : t -> int -> Step_core.Gate.t option * po_result
 (** One output, all three gates; see {!run_auto}. *)
-
-(** {1 Low-level kernels}
-
-    In-place entry points used by the [Pipeline] compatibility shims;
-    they solve directly on the given circuit, whose manager accumulates
-    solver scaffolding (copy inputs, scratch nodes). Prefer the session
-    API, which isolates jobs on compacted copies. *)
-
-val decompose_on :
-  ?cache:Step_cache.Cache.t * float ->
-  ?certify:bool ->
-  per_po_budget:float ->
-  min_support:int ->
-  check_artifacts:bool ->
-  Step_aig.Circuit.t ->
-  int ->
-  Step_core.Gate.t ->
-  Step_core.Method.t ->
-  po_result
-(** [?cache] is the cache paired with the {e configured} per-PO budget
-    (the cache-key component — [per_po_budget] itself may have been
-    clamped by the remaining total budget and must not leak into keys).
-    [?certify] (default [false]) populates [certificate]. *)
-
-val decompose_auto_on :
-  ?cache:Step_cache.Cache.t * float ->
-  ?certify:bool ->
-  per_po_budget:float ->
-  min_support:int ->
-  check_artifacts:bool ->
-  Step_aig.Circuit.t ->
-  int ->
-  Step_core.Method.t ->
-  Step_core.Gate.t option * po_result
 
 val lint_circuit : Step_aig.Circuit.t -> Step_lint.Diag.t list
 (** Lints a circuit's AIG manager (rules AIG001–AIG004) through

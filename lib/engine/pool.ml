@@ -109,14 +109,3 @@ let map_result ?(fatal = fun _ -> false) ~jobs n f =
             | Empty -> assert false)
           slots
   end
-
-let map ~jobs n f =
-  let outcomes = map_result ~jobs n f in
-  (* legacy contract: finish everything, then re-raise the first failure
-     in index order *)
-  Array.iter
-    (function
-      | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-      | Ok _ -> ())
-    outcomes;
-  Array.map (function Ok v -> v | Error _ -> assert false) outcomes

@@ -26,8 +26,3 @@ val map_result :
     backtrace, once every domain has parked. Default: nothing is fatal.
 
     [f] must be safe to call from multiple domains concurrently. *)
-
-val map : jobs:int -> int -> (int -> 'a) -> 'a array
-(** {!map_result} with the legacy contract: if any call raises, the
-    first exception in index order is re-raised (with its backtrace)
-    after all work finishes; later slots are still computed. *)

@@ -118,12 +118,12 @@ let request_config t (patch : Api.config_patch) =
   let c = Api.apply_patch patch t.cfg.base in
   let c =
     if patch.Api.total_budget = None then
-      Config.with_total_budget (Float.min c.Config.total_budget cap) c
+      { c with Config.total_budget = Float.min c.Config.total_budget cap }
     else c
   in
   let c =
     if patch.Api.per_po_budget = None then
-      Config.with_per_po_budget (Float.min c.Config.per_po_budget cap) c
+      { c with Config.per_po_budget = Float.min c.Config.per_po_budget cap }
     else c
   in
   match Config.validate c with

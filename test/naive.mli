@@ -1,4 +1,4 @@
-(** Brute-force 2QBF evaluation, for cross-validating {!Cegar} in tests.
+(** Brute-force 2QBF evaluation, the test oracle for {!Step_qbf.Cegar}.
 
     Exponential in the number of variables; only use on small supports. *)
 

@@ -1,7 +1,7 @@
 (* Tests for the versioned wire API: of_json/to_json round-trips are the
    identity at the wire level, strict parsing rejects unknown fields and
    foreign schema versions with stable codes, and config patches land on
-   Config.t through the with_* builders. *)
+   Config.t. *)
 
 module Api = Step_api.Api
 module Json = Step_obs.Json
@@ -176,7 +176,7 @@ let test_apply_patch () =
 
 let test_patch_cache_off () =
   let cache = Step_cache.Cache.create () in
-  let base = Config.with_cache (Some cache) Config.default in
+  let base = { Config.default with cache = Some cache } in
   let off =
     Api.apply_patch { Api.empty_patch with Api.cache = Some false } base
   in

@@ -38,23 +38,43 @@ let essence (r : Engine.po_result) =
 
 (* ---------- Pool ---------- *)
 
+let ok_values outcomes =
+  Array.map (function Ok v -> v | Error (e, _) -> raise e) outcomes
+
 let test_pool_map_order () =
   List.iter
     (fun jobs ->
-      let r = Pool.map ~jobs 17 (fun i -> i * i) in
+      let r = ok_values (Pool.map_result ~jobs 17 (fun i -> i * i)) in
       Alcotest.(check (array int))
         (Printf.sprintf "jobs=%d" jobs)
         (Array.init 17 (fun i -> i * i))
         r)
     [ 1; 2; 4; 32 ];
-  Alcotest.(check (array int)) "empty" [||] (Pool.map ~jobs:4 0 (fun i -> i))
+  Alcotest.(check (array int))
+    "empty" [||]
+    (ok_values (Pool.map_result ~jobs:4 0 (fun i -> i)))
 
 let test_pool_map_exception () =
-  Alcotest.check_raises "first failing index wins" (Failure "boom3")
-    (fun () ->
-      ignore
-        (Pool.map ~jobs:4 8 (fun i ->
-             if i >= 3 then failwith (Printf.sprintf "boom%d" i) else i)))
+  (* every failing job keeps its own exception; the jobs after the first
+     failure still run *)
+  let r =
+    Pool.map_result ~jobs:4 8 (fun i ->
+        if i >= 3 then failwith (Printf.sprintf "boom%d" i) else i)
+  in
+  Array.iteri
+    (fun i o ->
+      let expected =
+        if i >= 3 then Error (Printf.sprintf "boom%d" i) else Ok i
+      in
+      let got =
+        match o with
+        | Ok v -> Ok v
+        | Error (Failure msg, _) -> Error msg
+        | Error (e, _) -> Error (Printexc.to_string e)
+      in
+      Alcotest.(check (result int string))
+        (Printf.sprintf "slot %d" i) expected got)
+    r
 
 (* ---------- Config ---------- *)
 
@@ -63,29 +83,29 @@ let test_config_validation () =
   Alcotest.(check bool) "default valid" true (ok Config.default);
   Alcotest.(check bool)
     "jobs=0 rejected" false
-    (ok (Config.default |> Config.with_jobs 0));
+    (ok { Config.default with jobs = 0 });
   Alcotest.(check bool)
     "jobs=-3 rejected" false
-    (ok (Config.default |> Config.with_jobs (-3)));
+    (ok { Config.default with jobs = -3 });
   Alcotest.(check bool)
     "negative per-PO budget rejected" false
-    (ok (Config.default |> Config.with_per_po_budget (-1.0)));
+    (ok { Config.default with per_po_budget = -1.0 });
   Alcotest.(check bool)
     "negative total budget rejected" false
-    (ok (Config.default |> Config.with_total_budget (-0.5)));
+    (ok { Config.default with total_budget = -0.5 });
   Alcotest.(check bool)
     "NaN budget rejected" false
-    (ok (Config.default |> Config.with_per_po_budget nan));
+    (ok { Config.default with per_po_budget = nan });
   Alcotest.(check bool)
     "negative min_support rejected" false
-    (ok (Config.default |> Config.with_min_support (-1)));
+    (ok { Config.default with min_support = -1 });
   Alcotest.(check bool)
     "unbounded total budget allowed" true
-    (ok (Config.default |> Config.with_total_budget infinity));
+    (ok { Config.default with total_budget = infinity });
   (* Engine.create enforces validation *)
   match
     Engine.create
-      ~config:(Config.default |> Config.with_jobs 0)
+      ~config:{ Config.default with jobs = 0 }
       (toy_circuit ())
   with
   | exception Invalid_argument _ -> ()
@@ -97,20 +117,18 @@ let test_method_roundtrip () =
   List.iter
     (fun m ->
       Alcotest.(check bool)
-        (Engine.method_to_string m ^ " round-trips")
+        (Method.to_string m ^ " round-trips")
         true
-        (Engine.method_of_string (Engine.method_to_string m) = m);
+        (Method.of_string (Method.to_string m) = m);
       (* the CLI-printed names parse too, case-insensitively *)
       Alcotest.(check bool)
-        (Engine.method_to_string m ^ " lowercase parses")
+        (Method.to_string m ^ " lowercase parses")
         true
-        (Engine.method_of_string
-           (String.lowercase_ascii (Engine.method_to_string m))
-        = m))
+        (Method.of_string (String.lowercase_ascii (Method.to_string m)) = m))
     Method.all;
   Alcotest.(check bool)
     "garbage rejected" true
-    (Engine.method_of_string_opt "qdx" = None)
+    (Method.of_string_opt "qdx" = None)
 
 let test_gate_roundtrip () =
   List.iter
@@ -132,10 +150,7 @@ let test_gate_roundtrip () =
 
 let run_with_jobs c method_ gate jobs =
   let config =
-    Config.default
-    |> Config.with_method method_
-    |> Config.with_gate gate
-    |> Config.with_jobs jobs
+    { Config.default with method_; gate; jobs }
   in
   Engine.run (Engine.create ~config c)
 
@@ -161,7 +176,7 @@ let test_parallel_matches_sequential () =
 let test_auto_parallel_matches_sequential () =
   let c = toy_circuit () in
   let auto jobs =
-    let config = Config.default |> Config.with_jobs jobs in
+    let config = { Config.default with jobs } in
     Engine.run_auto (Engine.create ~config c)
   in
   let seq = auto 1 and par = auto 4 in
@@ -197,7 +212,7 @@ let test_total_budget_cancellation () =
   List.iter
     (fun jobs ->
       let config =
-        Config.default |> Config.with_total_budget 0.0 |> Config.with_jobs jobs
+        { Config.default with total_budget = 0.0; jobs }
       in
       let r = Engine.run (Engine.create ~config c) in
       Alcotest.(check int)
@@ -279,14 +294,12 @@ let test_degraded_fallback () =
   let c = toy_circuit () in
   with_faults "solver.solve@po:0#1" @@ fun () ->
   let config =
-    Config.default
-    |> Config.with_method Method.Qd
-    |> Config.with_fallback [ Method.Mg ]
+    { Config.default with method_ = Method.Qd; fallback = [ Method.Mg ] }
   in
   let r = Engine.run (Engine.create ~config c) in
   let po = r.Engine.per_po.(0) in
   Alcotest.(check string) "status" "degraded" (Engine.po_status po);
-  Alcotest.(check bool) "rung recorded" true (po.Engine.method_used = Method.Mg);
+  Alcotest.(check bool) "rung recorded" true (po.method_used = Method.Mg);
   Alcotest.(check bool) "partition recovered" true (po.Engine.partition <> None);
   Alcotest.(check int) "two attempts" 2 po.Engine.attempts;
   Alcotest.(check bool)
@@ -307,9 +320,11 @@ let test_transient_retry () =
   let before = Step_obs.Metrics.value retries in
   with_faults "solver.solve@po:0#1!transient" @@ fun () ->
   let config =
-    Config.default
-    |> Config.with_method Method.Qd
-    |> Config.with_retry { Retry.default with Retry.backoff_base = 0.001 }
+    {
+      Config.default with
+      method_ = Method.Qd;
+      retry = { Retry.default with Retry.backoff_base = 0.001 };
+    }
   in
   let r = Engine.run (Engine.create ~config c) in
   let po = r.Engine.per_po.(0) in
@@ -353,8 +368,11 @@ let test_span_stack_balanced_after_failure () =
   let sink r = Mutex.protect mu (fun () -> records := r :: !records) in
   (with_faults "solver.solve@po:0" @@ fun () ->
    let config =
-     Config.default |> Config.with_jobs 4
-     |> Config.with_trace (Some (Step_obs.Obs.callback_sink sink))
+     {
+       Config.default with
+       jobs = 4;
+       trace = Some (Step_obs.Obs.callback_sink sink);
+     }
    in
    ignore (Engine.run (Engine.create ~config (toy_circuit ()))));
   let depth = ref (-1) in
@@ -371,10 +389,12 @@ let test_run_sinks () =
   let sink r = Mutex.protect mu (fun () -> records := r :: !records) in
   let stats = ref "" in
   let config =
-    Config.default
-    |> Config.with_jobs 4
-    |> Config.with_trace (Some (Step_obs.Obs.callback_sink sink))
-    |> Config.with_stats (Some (fun s -> stats := s))
+    {
+      Config.default with
+      jobs = 4;
+      trace = Some (Step_obs.Obs.callback_sink sink);
+      stats = Some (fun s -> stats := s);
+    }
   in
   ignore (Engine.run (Engine.create ~config (toy_circuit ())));
   let names = List.map (fun r -> r.Step_obs.Obs.r_name) !records in

@@ -1,12 +1,14 @@
-(* Tests for the whole-circuit pipeline, automatic gate selection, the
-   Report module, and the full gate family — the integration layer. *)
+(* Tests for whole-circuit engine runs, automatic gate selection and the
+   Report module — the integration layer. *)
 
 module Aig = Step_aig.Aig
 module Circuit = Step_aig.Circuit
 module Gate = Step_core.Gate
 module Partition = Step_core.Partition
 module Problem = Step_core.Problem
-module Pipeline = Step_engine.Pipeline
+module Method = Step_core.Method
+module Engine = Step_engine.Engine
+module Config = Step_engine.Config
 module Report = Step_engine.Report
 module Check = Step_core.Check
 module Suite = Step_circuits.Suite
@@ -25,22 +27,25 @@ let toy_circuit () =
   Circuit.make ~name:"toy" m
     [ ("ord", or_dec); ("andd", and_dec); ("xord", xor_dec); ("par", parity) ]
 
+let run ?(config = Config.default) c gate method_ =
+  Engine.run (Engine.create ~config:{ config with gate; method_ } c)
+
 let methods =
-  [ Pipeline.Ljh; Pipeline.Mg; Pipeline.Qd; Pipeline.Qb; Pipeline.Qdb ]
+  [ Method.Ljh; Method.Mg; Method.Qd; Method.Qb; Method.Qdb ]
 
 let test_run_counts () =
   let c = toy_circuit () in
   List.iter
     (fun m ->
-      let r = Pipeline.run c Gate.Or_gate m in
+      let r = run c Gate.Or_gate m in
       Alcotest.(check int)
-        (Pipeline.method_name m ^ " total POs")
+        (Method.to_string m ^ " total POs")
         4
-        (Array.length r.Pipeline.per_po);
+        (Array.length r.Engine.per_po);
       Alcotest.(check bool)
-        (Pipeline.method_name m ^ " #Dec sane")
+        (Method.to_string m ^ " #Dec sane")
         true
-        (r.Pipeline.n_decomposed >= 1 && r.Pipeline.n_decomposed <= 4))
+        (r.Engine.n_decomposed >= 1 && r.Engine.n_decomposed <= 4))
     methods
 
 let test_all_partitions_valid () =
@@ -49,74 +54,75 @@ let test_all_partitions_valid () =
     (fun gate ->
       List.iter
         (fun m ->
-          let r = Pipeline.run c gate m in
+          let r = run c gate m in
           Array.iter
-            (fun (po : Pipeline.po_result) ->
-              match po.Pipeline.partition with
+            (fun (po : Engine.po_result) ->
+              match po.Engine.partition with
               | None -> ()
               | Some part ->
                   let p =
                     Problem.of_edge c.Circuit.aig
-                      (Circuit.find_output c po.Pipeline.po_name)
+                      (Circuit.find_output c po.Engine.po_name)
                   in
                   Alcotest.(check bool)
                     (Printf.sprintf "%s/%s/%s nontrivial"
-                       (Gate.to_string gate) (Pipeline.method_name m)
-                       po.Pipeline.po_name)
+                       (Gate.to_string gate) (Method.to_string m)
+                       po.Engine.po_name)
                     false (Partition.is_trivial part);
                   Alcotest.(check (option bool))
                     (Printf.sprintf "%s/%s/%s valid" (Gate.to_string gate)
-                       (Pipeline.method_name m) po.Pipeline.po_name)
+                       (Method.to_string m) po.Engine.po_name)
                     (Some true)
                     (Check.decomposable p gate part))
-            r.Pipeline.per_po)
+            r.Engine.per_po)
         methods)
     Gate.all
 
 let test_qbf_not_worse_than_mg () =
   let c = Suite.by_name "mm9b" in
-  let mg = Pipeline.run c Gate.Or_gate Pipeline.Mg in
-  let qd = Pipeline.run c Gate.Or_gate Pipeline.Qd in
+  let mg = run c Gate.Or_gate Method.Mg in
+  let qd = run c Gate.Or_gate Method.Qd in
   Array.iteri
-    (fun i (mg_po : Pipeline.po_result) ->
-      let qd_po = qd.Pipeline.per_po.(i) in
-      match (mg_po.Pipeline.partition, qd_po.Pipeline.partition) with
+    (fun i (mg_po : Engine.po_result) ->
+      let qd_po = qd.Engine.per_po.(i) in
+      match (mg_po.Engine.partition, qd_po.Engine.partition) with
       | Some mp, Some qp ->
           Alcotest.(check bool) "disjointness no worse" true
             (Partition.disjointness qp <= Partition.disjointness mp +. 1e-9)
       | None, Some _ | None, None -> ()
       | Some _, None -> Alcotest.fail "QD lost a decomposition MG found")
-    mg.Pipeline.per_po
+    mg.Engine.per_po
 
 let test_auto_gate () =
   let c = toy_circuit () in
   (* parity must come out as XOR; the OR-planted output as OR *)
-  let g_par, r_par =
-    Pipeline.decompose_output_auto c 3 Pipeline.Qd
+  let eng =
+    Engine.create ~config:{ Config.default with method_ = Method.Qd } c
   in
-  Alcotest.(check bool) "parity decomposed" true (r_par.Pipeline.partition <> None);
+  let g_par, r_par = Engine.decompose_po_auto eng 3 in
+  Alcotest.(check bool) "parity decomposed" true (r_par.Engine.partition <> None);
   (match g_par with
   | Some Gate.Xor_gate -> ()
   | Some g -> Alcotest.fail ("parity chose " ^ Gate.to_string g)
   | None -> Alcotest.fail "parity not decomposed");
-  let g_or, r_or = Pipeline.decompose_output_auto c 0 Pipeline.Qd in
-  Alcotest.(check bool) "or-cone decomposed" true (r_or.Pipeline.partition <> None);
+  let g_or, r_or = Engine.decompose_po_auto eng 0 in
+  Alcotest.(check bool) "or-cone decomposed" true (r_or.Engine.partition <> None);
   match g_or with
   | Some _ -> ()
   | None -> Alcotest.fail "or cone not decomposed"
 
 let test_report_aggregate () =
   let c = toy_circuit () in
-  let r = Pipeline.run c Gate.Or_gate Pipeline.Qd in
+  let r = run c Gate.Or_gate Method.Qd in
   let a = Report.aggregate_of r in
   Alcotest.(check int) "outputs" 4 a.Report.n_outputs;
-  Alcotest.(check int) "decomposed" r.Pipeline.n_decomposed a.Report.n_decomposed;
+  Alcotest.(check int) "decomposed" r.Engine.n_decomposed a.Report.n_decomposed;
   Alcotest.(check bool) "mean eD defined" true
     (not (Float.is_nan a.Report.mean_disjointness))
 
 let test_report_csv_shape () =
   let c = toy_circuit () in
-  let r = Pipeline.run c Gate.Or_gate Pipeline.Mg in
+  let r = run c Gate.Or_gate Method.Mg in
   let csv = Report.to_csv r in
   let lines =
     String.split_on_char '\n' csv |> List.filter (fun l -> l <> "")
@@ -132,7 +138,7 @@ let test_report_csv_shape () =
 
 let test_report_markdown_and_text () =
   let c = toy_circuit () in
-  let r = Pipeline.run c Gate.Or_gate Pipeline.Qb in
+  let r = run c Gate.Or_gate Method.Qb in
   let md = Report.to_markdown r in
   Alcotest.(check bool) "has table header" true
     (String.length md > 0
@@ -143,8 +149,8 @@ let test_report_markdown_and_text () =
 
 let test_compare_table () =
   let c = toy_circuit () in
-  let baseline = Pipeline.run c Gate.Or_gate Pipeline.Ljh in
-  let challenger = Pipeline.run c Gate.Or_gate Pipeline.Qd in
+  let baseline = run c Gate.Or_gate Method.Ljh in
+  let challenger = run c Gate.Or_gate Method.Qd in
   let t =
     Report.compare_table ~baseline ~challenger
       ~metric:Partition.disjointness
@@ -153,46 +159,18 @@ let test_compare_table () =
 
 let test_total_budget_timeout () =
   let c = Suite.by_name "C7552" in
-  let r = Pipeline.run ~total_budget:0.0 c Gate.Or_gate Pipeline.Qd in
+  let config = { Config.default with total_budget = 0.0 } in
+  let r = run ~config c Gate.Or_gate Method.Qd in
   (* everything after the first PO must be reported as timed out *)
   let timed_out =
     Array.fold_left
-      (fun acc po -> if po.Pipeline.timed_out then acc + 1 else acc)
-      0 r.Pipeline.per_po
+      (fun acc po -> if po.Engine.timed_out then acc + 1 else acc)
+      0 r.Engine.per_po
   in
   Alcotest.(check bool) "timeouts reported" true
-    (timed_out >= Array.length r.Pipeline.per_po - 1)
+    (timed_out >= Array.length r.Engine.per_po - 1)
 
-(* ---------- network synthesis & support reduction ---------- *)
-
-module Network = Step_core.Network
-module Recursive = Step_core.Recursive
-module Verify = Step_core.Verify
-
-let test_network_synthesize () =
-  let c = toy_circuit () in
-  let config =
-    { Recursive.default_config with Recursive.stop_support = 3 }
-  in
-  let r = Network.synthesize ~config c in
-  Alcotest.(check int) "entries" 4 (Array.length r.Network.entries);
-  Alcotest.(check bool) "some gates" true (r.Network.total_gates >= 3);
-  (* rebuilt outputs must be equivalent to the originals *)
-  let c2 = r.Network.circuit in
-  Alcotest.(check int) "same outputs" 4 (Circuit.n_outputs c2);
-  for i = 0 to 3 do
-    let name = Circuit.output_name c i in
-    let orig = Problem.of_edge c.Circuit.aig (Circuit.find_output c name) in
-    (* import the rebuilt output into the original manager for the miter *)
-    let imported =
-      Aig.import c.Circuit.aig ~src:c2.Circuit.aig
-        ~map_input:(fun j -> Aig.input c.Circuit.aig j)
-        (Circuit.find_output c2 name)
-    in
-    Alcotest.(check bool)
-      (name ^ " equivalent") true
-      (Verify.equivalent orig Gate.Or_gate ~fa:imported ~fb:Aig.f)
-  done
+(* ---------- support reduction ---------- *)
 
 let test_problem_reduce () =
   let m = Aig.create () in
@@ -241,7 +219,6 @@ let () =
         ] );
       ( "network",
         [
-          Alcotest.test_case "synthesize" `Quick test_network_synthesize;
           Alcotest.test_case "support reduction" `Quick test_problem_reduce;
         ] );
     ]

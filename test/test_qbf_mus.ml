@@ -4,7 +4,6 @@ module Aig = Step_aig.Aig
 module Solver = Step_sat.Solver
 module Lit = Step_sat.Lit
 module Cegar = Step_qbf.Cegar
-module Naive = Step_qbf.Naive
 module Mus = Step_mus.Mus
 
 (* ---------- qbf unit tests ---------- *)

@@ -445,42 +445,6 @@ let test_compact_preserves_ids () =
     ids;
   Alcotest.(check bool) "still sat" true (Solver.solve s)
 
-(* ---------- enumeration ---------- *)
-
-module Enum = Step_sat.Enum
-
-let test_enum_count () =
-  (* x0 ∨ x1 over 2 vars: 3 models *)
-  let s = solver_of [ [ pos 0; pos 1 ] ] in
-  Alcotest.(check int) "models" 3 (Enum.count s)
-
-let test_enum_projection () =
-  (* models of (x0 ∨ x1) ∧ (x2 free): projected on {x0,x1} -> 3 *)
-  let s = solver_of [ [ pos 0; pos 1 ] ] in
-  Solver.ensure_var s 2;
-  Alcotest.(check int) "projected" 3 (Enum.count ~project:[ 0; 1 ] s);
-  let s2 = solver_of [ [ pos 0; pos 1 ] ] in
-  Solver.ensure_var s2 2;
-  Alcotest.(check int) "unprojected" 6 (Enum.count s2)
-
-let test_enum_limit () =
-  let s = Solver.create () in
-  Solver.ensure_var s 3;
-  Alcotest.(check int) "limited" 5 (Enum.count ~limit:5 s)
-
-let prop_enum_matches_brute_force =
-  QCheck2.Test.make ~count:150 ~name:"model count matches brute force"
-    ~print:print_cnf gen_cnf (fun (n, clauses) ->
-      let expected =
-        List.length
-          (List.filter
-             (fun m -> List.for_all (eval_clause m) clauses)
-             (List.init (1 lsl n) Fun.id))
-      in
-      let s = solver_of clauses in
-      Solver.ensure_var s (n - 1);
-      Enum.count ~project:(List.init n Fun.id) s = expected)
-
 (* ---------- drat ---------- *)
 
 module Drat = Step_sat.Drat
@@ -639,12 +603,6 @@ let () =
           Alcotest.test_case "deletions after reduce" `Quick
             test_drat_deletions;
         ] );
-      ( "enum",
-        [
-          Alcotest.test_case "count" `Quick test_enum_count;
-          Alcotest.test_case "projection" `Quick test_enum_projection;
-          Alcotest.test_case "limit" `Quick test_enum_limit;
-        ] );
       ( "simp",
         [
           Alcotest.test_case "pure literal" `Quick test_simp_pure_literal;
@@ -671,7 +629,6 @@ let () =
           prop_core_sufficient;
           prop_model_complete;
           prop_drat_certificates_check;
-          prop_enum_matches_brute_force;
           prop_simp_equisatisfiable;
         ];
     ]

@@ -12,9 +12,9 @@ module Gate = Step_core.Gate
 let check = Alcotest.(check string)
 
 let make ?(max_inflight = 4) ?(max_budget = 60.0) ?cache () =
-  let base = Config.default |> Config.with_gate Gate.And_gate in
+  let base = { Config.default with gate = Gate.And_gate } in
   let base =
-    match cache with None -> base | Some c -> Config.with_cache (Some c) base
+    match cache with None -> base | Some c -> { base with cache = Some c }
   in
   Server.create { Server.base; max_inflight; max_budget }
 

@@ -1,8 +1,8 @@
 # Convenience targets; dune is the real build system.
 
 .PHONY: all check test smoke psmoke cachesmoke faultsmoke profsmoke \
-  benchsmoke certsmoke certfuzz qbffuzz arenasmoke servesmoke bench lint \
-  clean
+  benchsmoke certsmoke certfuzz qbffuzz arenasmoke servesmoke spawncheck \
+  bench lint clean
 
 all:
 	dune build @all
@@ -12,6 +12,7 @@ all:
 # determinism smoke.
 check:
 	dune build && dune runtest
+	$(MAKE) spawncheck
 	$(MAKE) lint
 	$(MAKE) psmoke
 	$(MAKE) cachesmoke
@@ -34,6 +35,11 @@ lint:
 	STEP_SANITIZE=1 dune runtest --force
 
 test: check
+
+# One domain scheduler: lib/engine/pool.ml is the only place in lib/ and
+# bin/ that starts a domain.
+spawncheck:
+	! grep -rn 'Domain\.spawn' lib bin | grep -v '^lib/engine/pool\.ml:'
 
 # Quick end-to-end exercise of the pipeline, telemetry and bench harness.
 smoke:

@@ -316,7 +316,7 @@ let decompose_cmd =
       | None ->
           if profile then Obs.with_sink prof_sink body else body ()
     in
-    (* Periodic exposition runs on its own domain; the final snapshot is
+    (* Periodic exposition runs on its own thread; the final snapshot is
        published on every exit path, including errors. *)
     let stop_dump =
       match metrics_out with
@@ -1028,6 +1028,10 @@ let serve_cmd =
       if code <> 0 then exit code
     with
     | () -> `Ok ()
+    | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
+        input_error
+          (Printf.sprintf "%s: another server is listening on this socket"
+             (Option.value socket ~default:""))
     | exception Failure msg -> `Error (false, msg)
     | exception Sys_error msg -> `Error (false, msg)
   in

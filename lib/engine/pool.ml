@@ -1,41 +1,68 @@
-type queue = {
-  mu : Mutex.t;
-  nonempty : Condition.t;
-  items : int Queue.t;
-  mutable closed : bool;
-}
+(* ---------- the process-wide worker set ---------- *)
 
-let make () =
-  {
-    mu = Mutex.create ();
-    nonempty = Condition.create ();
-    items = Queue.create ();
-    closed = false;
-  }
+let max_workers = 64
 
-let push q i =
-  Mutex.protect q.mu (fun () ->
-      Queue.push i q.items;
-      Condition.signal q.nonempty)
+let mu = Mutex.create ()
 
-let close q =
-  Mutex.protect q.mu (fun () ->
-      q.closed <- true;
-      Condition.broadcast q.nonempty)
+let wake = Condition.create ()
 
-let pop q =
-  Mutex.protect q.mu (fun () ->
-      let rec wait () =
-        match Queue.take_opt q.items with
-        | Some i -> Some i
-        | None ->
-            if q.closed then None
-            else begin
-              Condition.wait q.nonempty q.mu;
-              wait ()
-            end
-      in
-      wait ())
+let tasks : (unit -> unit) Queue.t = Queue.create ()
+
+let workers = ref 0
+
+(* Workers parked (or about to park) with no queued task meant for them.
+   Invariant under [mu]: workers not running a task = !idle + queued
+   tasks, so every queued task has a worker that will take it. *)
+let idle = ref 0
+
+(* An escaping exception is dropped so the worker survives it. A task
+   leaves no span frame or fault scope behind for the next one:
+   [Obs.span] and [Fault.with_scope] restore the domain's state on every
+   exit. *)
+let run_task task = try task () with _ -> ()
+
+let rec park () =
+  let task =
+    Mutex.protect mu (fun () ->
+        incr idle;
+        while Queue.is_empty tasks do
+          Condition.wait wake mu
+        done;
+        Queue.pop tasks)
+  in
+  run_task task;
+  park ()
+
+let try_async task =
+  let claim =
+    Mutex.protect mu (fun () ->
+        if !idle > 0 then begin
+          decr idle;
+          Queue.push task tasks;
+          Condition.signal wake;
+          `Queued
+        end
+        else if !workers < max_workers then begin
+          incr workers;
+          `Start
+        end
+        else `Full)
+  in
+  match claim with
+  | `Queued -> true
+  | `Full -> false
+  | `Start -> (
+      match
+        Domain.spawn (fun () ->
+            run_task task;
+            park ())
+      with
+      | _ -> true
+      | exception Failure _ ->
+          Mutex.protect mu (fun () -> decr workers);
+          false)
+
+(* ---------- map_result ---------- *)
 
 type 'a outcome = ('a, exn * Printexc.raw_backtrace) result
 
@@ -45,11 +72,11 @@ let map_result ?(fatal = fun _ -> false) ~jobs n f =
   if n = 0 then [||]
   else begin
     (* A fatal exception (interrupt, sanitizer violation) poisons the
-       pool: the remaining queue is drained without running jobs and the
-       exception is re-raised once every domain has parked — prompt
-       cancellation instead of computing a long tail first. Everything
-       else is a per-job fault domain: the failure lands in the job's
-       slot, sibling results are kept. *)
+       map: the remaining indices are drained without running jobs and
+       the exception is re-raised once every helper has returned —
+       prompt cancellation instead of computing a long tail first.
+       Everything else is a per-job fault domain: the failure lands in
+       the job's slot, sibling results are kept. *)
     let poison : (exn * Printexc.raw_backtrace) option Atomic.t =
       Atomic.make None
     in
@@ -67,38 +94,48 @@ let map_result ?(fatal = fun _ -> false) ~jobs n f =
                 ignore (Atomic.compare_and_set poison None (Some (e, bt)));
                 Error (e, bt))
     in
-    if jobs <= 1 || n = 1 then
-      for i = 0 to n - 1 do
-        run i
-      done
+    let next = Atomic.make 0 in
+    let rec drain () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        run i;
+        drain ()
+      end
+    in
+    if jobs <= 1 || n = 1 then drain ()
     else begin
-      let q = make () in
-      let worker () =
-        let rec loop () =
-          match pop q with
-          | None -> ()
-          | Some i ->
-              run i;
-              loop ()
-        in
-        loop ()
-      in
-      for i = 0 to n - 1 do
-        push q i
-      done;
-      close q;
-      let domains =
-        Array.init (min jobs n - 1) (fun _ -> Domain.spawn worker)
-      in
-      (* an async fatal exception (e.g. Sys.Break between jobs) in the
-         calling domain must still wait for the workers and poison the
-         result, not leak running domains *)
-      (match worker () with
-      | () -> ()
-      | exception e ->
+      (* The caller drains alongside whatever helpers the pool can give
+         right now, so a nested map made from a worker completes even
+         when every worker is busy. An async fatal exception (e.g.
+         Sys.Break between jobs) must still wait for the helpers and
+         poison the result. *)
+      let drain_guarded () =
+        try drain ()
+        with e ->
           let bt = Printexc.get_raw_backtrace () in
-          ignore (Atomic.compare_and_set poison None (Some (e, bt))));
-      Array.iter Domain.join domains
+          ignore (Atomic.compare_and_set poison None (Some (e, bt)))
+      in
+      let hmu = Mutex.create () and finished = Condition.create () in
+      let helpers = ref 0 in
+      let helper () =
+        drain_guarded ();
+        Mutex.protect hmu (fun () ->
+            decr helpers;
+            Condition.signal finished)
+      in
+      let rec recruit k =
+        if k > 0 then begin
+          Mutex.protect hmu (fun () -> incr helpers);
+          if try_async helper then recruit (k - 1)
+          else Mutex.protect hmu (fun () -> decr helpers)
+        end
+      in
+      recruit (min jobs n - 1);
+      drain_guarded ();
+      Mutex.protect hmu (fun () ->
+          while !helpers > 0 do
+            Condition.wait finished hmu
+          done)
     end;
     match Atomic.get poison with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt

@@ -426,16 +426,19 @@ let dump_file ~format path =
      raise e);
   Sys.rename tmp path
 
-(* The periodic writer runs on its own domain so long solver calls on the
-   main/worker domains cannot starve it. Stop is cooperative (atomic flag
-   polled every ~50 ms) and always publishes one final snapshot, so even
-   [interval_s] longer than the run leaves a complete file behind. *)
+(* The periodic writer is a systhread: it needs no parallelism, only to
+   be scheduled while solver calls run, which the runtime's tick
+   guarantees; a domain would instead slow every minor GC of the run.
+   Stop is cooperative (atomic flag polled every ~50 ms) and always
+   publishes one final snapshot, so even [interval_s] longer than the run
+   leaves a complete file behind. *)
 let start_periodic_dump ~path ~interval_s ~format () =
   if not (Float.is_finite interval_s) || interval_s <= 0.0 then
     invalid_arg "Metrics.start_periodic_dump: interval must be positive";
   let stop = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
+  let th =
+    Thread.create
+      (fun () ->
         let tick = Float.min interval_s 0.05 in
         let rec wait remaining =
           if (not (Atomic.get stop)) && remaining > 0.0 then begin
@@ -451,8 +454,9 @@ let start_periodic_dump ~path ~interval_s ~format () =
           end
         in
         loop ())
+      ()
   in
   fun () ->
     Atomic.set stop true;
-    Domain.join d;
+    Thread.join th;
     dump_file ~format path

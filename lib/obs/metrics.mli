@@ -153,7 +153,7 @@ val start_periodic_dump :
   unit ->
   unit ->
   unit
-(** [let stop = start_periodic_dump ~path ~interval_s ~format ()] spawns
-    a writer domain that republishes [path] every [interval_s] seconds;
+(** [let stop = start_periodic_dump ~path ~interval_s ~format ()] starts
+    a writer thread that republishes [path] every [interval_s] seconds;
     [stop ()] halts it and writes one final snapshot. Raises
     [Invalid_argument] on a non-positive interval. *)

@@ -292,6 +292,8 @@ let handle_line t ~emit line =
    the server blocked in a read until the next client line. *)
 type reader = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
 
+let tick = 0.15
+
 let reader fd = { fd; buf = Buffer.create 4096; eof = false }
 
 let take_line r =
@@ -313,7 +315,7 @@ let read_line_poll ~stop r =
         else
           let readable =
             try
-              match Unix.select [ r.fd ] [] [] 0.15 with
+              match Unix.select [ r.fd ] [] [] tick with
               | [], _, _ -> false
               | _ -> true
             with Unix.Unix_error (Unix.EINTR, _, _) -> false
@@ -356,19 +358,65 @@ let serve_stdio t =
   serve_fd t ~in_fd:Unix.stdin ~out_fd:Unix.stdout;
   exit_code t
 
+(* Replace [path] only when nothing accepts on it: a refused probe means
+   a socket file left behind by a dead server. A live server keeps its
+   socket, and the [bind] that follows fails with EADDRINUSE. *)
+let remove_stale_socket path =
+  let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close probe)
+    (fun () ->
+      match Unix.connect probe (Unix.ADDR_UNIX path) with
+      | () -> ()
+      | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> (
+          try Sys.remove path with Sys_error _ -> ())
+      | exception Unix.Unix_error _ -> ())
+
 let serve_socket t ~path =
-  (try Sys.remove path with Sys_error _ -> ());
+  remove_stale_socket path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind sock (Unix.ADDR_UNIX path);
+  (try Unix.bind sock (Unix.ADDR_UNIX path)
+   with e ->
+     Unix.close sock;
+     raise e);
   Unix.listen sock 16;
   (* A client that disconnects mid-response must not kill the server. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  let workers = ref [] in
+  (* Connections run as pool tasks; [live] counts them so the drain can
+     wait for the last one. The first fatal exception in a connection
+     drains the server and is re-raised once every connection ended. *)
+  let mu = Mutex.create () and ended = Condition.create () in
+  let live = ref 0 in
+  let fatal = Atomic.make None in
+  let connection conn () =
+    (try serve_fd t ~in_fd:conn ~out_fd:conn with
+    | e when not (Retry.fatal e) -> ()
+    | e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set fatal None (Some (e, bt)));
+        request_drain t ());
+    (try Unix.close conn with Unix.Unix_error _ -> ());
+    Mutex.protect mu (fun () ->
+        decr live;
+        Condition.signal ended)
+  in
+  (* The pool's cap is the connection cap: with every worker busy the
+     connection gets one admission error line and is closed. *)
+  let refuse conn =
+    (try
+       reject t
+         ~emit:(fun r -> write_all conn (Json.to_string (Api.response_to_json r)))
+         (Diag.error ~code:Api.code_admission
+            (Printf.sprintf "connection refused: all %d workers are busy"
+               Step_engine.Pool.max_workers))
+     with Unix.Unix_error _ -> ());
+    try Unix.close conn with Unix.Unix_error _ -> ()
+  in
   let rec accept_loop () =
     if not (draining t) then (
       let ready =
         try
-          match Unix.select [ sock ] [] [] 0.15 with
+          match Unix.select [ sock ] [] [] tick with
           | [], _, _ -> false
           | _ -> true
         with Unix.Unix_error (Unix.EINTR, _, _) -> false
@@ -376,16 +424,17 @@ let serve_socket t ~path =
       (if ready then
          match Unix.accept sock with
          | conn, _ ->
-             let d =
-               Domain.spawn (fun () ->
-                   Fun.protect
-                     ~finally:(fun () -> try Unix.close conn with Unix.Unix_error _ -> ())
-                     (fun () ->
-                       try serve_fd t ~in_fd:conn ~out_fd:conn
-                       with e when not (Retry.fatal e) -> ()))
-             in
-             workers := d :: !workers
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+             Mutex.protect mu (fun () -> incr live);
+             if not (Step_engine.Pool.try_async (connection conn)) then (
+               Mutex.protect mu (fun () -> decr live);
+               refuse conn)
+         | exception
+             Unix.Unix_error
+               ((Unix.EINTR | Unix.EAGAIN | Unix.ECONNABORTED), _, _) ->
+             ()
+         (* out of descriptors: keep listening, retry after one tick *)
+         | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> (
+             try Unix.sleepf tick with Unix.Unix_error (Unix.EINTR, _, _) -> ()));
       accept_loop ())
   in
   Fun.protect
@@ -394,5 +443,10 @@ let serve_socket t ~path =
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       accept_loop ();
-      List.iter Domain.join !workers);
-  exit_code t
+      Mutex.protect mu (fun () ->
+          while !live > 0 do
+            Condition.wait ended mu
+          done));
+  match Atomic.get fatal with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> exit_code t

@@ -3,8 +3,8 @@
     Speaks the {!Step_api.Api} JSON-lines protocol — one request per
     line in, one response per line out, per-PO records streamed as they
     finish — over stdin/stdout ({!serve_stdio}, the scriptable/test
-    transport) or a Unix domain socket ({!serve_socket}, one domain per
-    connection). All transports share one {!t}: uploaded circuit
+    transport) or a Unix domain socket ({!serve_socket}, each
+    connection a task of the engine's worker pool). All transports share one {!t}: uploaded circuit
     handles, the warm decomposition cache in the base configuration,
     and the admission slots.
 
@@ -70,6 +70,17 @@ val serve_stdio : t -> int
     in-flight request takes effect as soon as the request completes. *)
 
 val serve_socket : t -> path:string -> int
-(** Bind [path] (unlinking any stale socket), accept until drained, one
-    worker domain per connection; returns the exit code and removes the
-    socket file. *)
+(** Bind [path], accept until drained, and serve each connection as a
+    {!Step_engine.Pool.try_async} task; returns the exit code once
+    every connection has ended, and removes the socket file.
+
+    The pool's cap is the connection cap: when every worker is busy, a
+    new connection gets one {!Step_api.Api.code_admission} error line
+    and is closed. Transient [accept] failures (aborted connections,
+    descriptor exhaustion) keep the listening socket.
+
+    [path] is replaced only when stale, i.e. when a probe [connect] is
+    refused. Raises [Unix.Unix_error (EADDRINUSE, _, _)] when another
+    server is listening on it, leaving that socket in place. A fatal
+    exception ({!Step_engine.Retry.fatal}) in a connection drains the
+    server and is re-raised once every connection has ended. *)

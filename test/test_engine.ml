@@ -76,6 +76,111 @@ let test_pool_map_exception () =
         (Printf.sprintf "slot %d" i) expected got)
     r
 
+(* The pool's workers persist: a second parallel run takes domains that
+   already exist. Domain ids only grow, so a domain the second run
+   started would have an id above a fence domain started in between. *)
+let domain_id () = (Domain.self () :> int)
+
+let test_pool_reuses_domains () =
+  let run () =
+    (* every job waits until all three have started, so three distinct
+       domains take part *)
+    let started = Atomic.make 0 in
+    ok_values
+      (Pool.map_result ~jobs:3 3 (fun _ ->
+           Atomic.incr started;
+           let t0 = Unix.gettimeofday () in
+           while Atomic.get started < 3 && Unix.gettimeofday () -. t0 < 5.0 do
+             Unix.sleepf 0.001
+           done;
+           domain_id ()))
+  in
+  let distinct ids = List.length (List.sort_uniq compare (Array.to_list ids)) in
+  Alcotest.(check int) "first run on three domains" 3 (distinct (run ()));
+  let fence = Domain.join (Domain.spawn domain_id) in
+  let second = run () in
+  Alcotest.(check int) "second run on three domains" 3 (distinct second);
+  Array.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d existed before the second run" id)
+        true (id < fence))
+    second;
+  (* -j 1 runs inline on the caller *)
+  Alcotest.(check (array int))
+    "-j 1 inline" (Array.make 4 (domain_id ()))
+    (ok_values (Pool.map_result ~jobs:1 4 (fun _ -> domain_id ())))
+
+let test_pool_nested_when_full () =
+  let release = Atomic.make false and full = Atomic.make false in
+  let nested = Atomic.make None in
+  let wait_for flag =
+    let t0 = Unix.gettimeofday () in
+    while (not (Atomic.get flag)) && Unix.gettimeofday () -. t0 < 10.0 do
+      Unix.sleepf 0.001
+    done
+  in
+  let prober () =
+    wait_for full;
+    let r = Pool.map_result ~jobs:4 8 (fun i -> 2 * i) in
+    Atomic.set nested (Some (ok_values r))
+  in
+  Alcotest.(check bool) "prober accepted" true (Pool.try_async prober);
+  (* occupy every other worker; a worker that has just finished a task
+     may take a moment to park, hence the second round *)
+  let rec fill k =
+    if Pool.try_async (fun () -> wait_for release) then fill (k + 1) else k
+  in
+  let blockers = fill 0 in
+  Unix.sleepf 0.05;
+  let blockers = blockers + fill 0 in
+  Atomic.set full true;
+  let t0 = Unix.gettimeofday () in
+  while Atomic.get nested = None && Unix.gettimeofday () -. t0 < 10.0 do
+    Unix.sleepf 0.001
+  done;
+  Atomic.set release true;
+  Alcotest.(check bool)
+    "cap holds" true
+    (blockers <= Pool.max_workers - 1);
+  Alcotest.(check (option (array int)))
+    "nested map completed" (Some (Array.init 8 (fun i -> 2 * i)))
+    (Atomic.get nested)
+
+(* A job that raises inside an open span and a fault scope must leave
+   nothing behind on the worker: the next traced -j 2 run delivers its
+   worker spans as roots (or under its own run span). *)
+let test_pool_worker_spans_are_roots () =
+  let module Obs = Step_obs.Obs in
+  Obs.with_sink (Obs.callback_sink ignore) (fun () ->
+      ignore
+        (Pool.map_result ~jobs:4 8 (fun i ->
+             Obs.span "leaky" (fun () ->
+                 Fault.with_scope "stale" (fun () ->
+                     if i mod 2 = 0 then failwith "boom" else i)))));
+  Alcotest.(check (array string))
+    "no stale fault scope" (Array.make 8 "")
+    (ok_values (Pool.map_result ~jobs:4 8 (fun _ -> Fault.current_scope ())));
+  let records = ref [] in
+  let mu = Mutex.create () in
+  let sink r = Mutex.protect mu (fun () -> records := r :: !records) in
+  let config =
+    { Config.default with jobs = 2; trace = Some (Obs.callback_sink sink) }
+  in
+  ignore (Engine.run (Engine.create ~config (toy_circuit ())));
+  let run_id =
+    match List.find_opt (fun r -> r.Obs.r_name = "pipeline.run") !records with
+    | Some r -> r.Obs.r_id
+    | None -> Alcotest.fail "no run span"
+  in
+  List.iter
+    (fun r ->
+      if r.Obs.r_name = "engine.attempt" then
+        Alcotest.(check bool)
+          "attempt span is a root or under the run" true
+          (r.Obs.r_parent = None || r.Obs.r_parent = Some run_id))
+    !records
+
 (* ---------- Config ---------- *)
 
 let test_config_validation () =
@@ -413,6 +518,11 @@ let () =
           Alcotest.test_case "map exception" `Quick test_pool_map_exception;
           Alcotest.test_case "map_result captures" `Quick test_pool_map_result;
           Alcotest.test_case "fatal poisons" `Quick test_pool_fatal_poisons;
+          Alcotest.test_case "reuses domains" `Quick test_pool_reuses_domains;
+          Alcotest.test_case "nested map when full" `Quick
+            test_pool_nested_when_full;
+          Alcotest.test_case "worker spans are roots" `Quick
+            test_pool_worker_spans_are_roots;
         ] );
       ( "supervision",
         [

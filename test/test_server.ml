@@ -1,7 +1,10 @@
-(* Engine-level tests for the serve layer, driven through handle_line —
-   no transport: admission control, deadline rejection, config
-   validation as structured errors, warm-cache hits across sequential
-   requests, upload/handle flow, and drain semantics. *)
+(* Tests for the serve layer. Most drive handle_line with no transport:
+   admission control, deadline rejection, config validation as
+   structured errors, warm-cache hits across sequential requests,
+   upload/handle flow, and drain semantics. The socket tests run
+   serve_socket on a thread of this process and talk to it as clients:
+   concurrent connections, the connection cap, drain, socket ownership
+   and descriptor exhaustion. *)
 
 module Api = Step_api.Api
 module Server = Step_server.Server
@@ -222,6 +225,190 @@ let test_rejected_counted_in_stats () =
       Alcotest.(check int) "inflight quiesced" 0 stats.Api.inflight
   | _ -> Alcotest.fail "stats failed"
 
+(* ---------- socket transport ---------- *)
+
+let stats_line = {|{"schema_version":1,"type":"stats","id":"s"}|}
+
+let wait_until ?(timeout = 10.0) what p =
+  let t0 = Unix.gettimeofday () in
+  while not (p ()) do
+    if Unix.gettimeofday () -. t0 > timeout then
+      Alcotest.failf "timed out waiting for %s" what;
+    Unix.sleepf 0.005
+  done
+
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  fd
+
+(* A server that refused the connection may have closed it already; its
+   one error line stays readable. *)
+let send fd line =
+  let s = line ^ "\n" in
+  try ignore (Unix.write_substring fd s 0 (String.length s))
+  with Unix.Unix_error (Unix.EPIPE, _, _) -> ()
+
+(* One response line, or None at end of stream; fails after 10 s. *)
+let recv fd =
+  let buf = Buffer.create 256 and b = Bytes.create 1 in
+  let rec go () =
+    match Unix.select [ fd ] [] [] 10.0 with
+    | [], _, _ -> Alcotest.fail "no response within 10 s"
+    | _ -> (
+        match Unix.read fd b 0 1 with
+        | 0 -> if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
+        | _ when Bytes.get b 0 = '\n' -> Some (Buffer.contents buf)
+        | _ ->
+            Buffer.add_bytes buf b;
+            go ())
+  in
+  go ()
+
+let response fd =
+  match recv fd with
+  | None -> Alcotest.fail "connection closed without a response"
+  | Some l -> (
+      match Api.response_of_json (Json.of_string l) with
+      | Ok r -> r
+      | Error _ -> Alcotest.failf "invalid response %s" l)
+
+let expect_stats fd =
+  send fd stats_line;
+  match response fd with
+  | Api.Server_stats _ -> ()
+  | _ -> Alcotest.fail "expected a stats response"
+
+(* A stats request or the refusal of a full pool ([SRV003]). *)
+let expect_stats_or_refusal fd =
+  send fd stats_line;
+  match response fd with
+  | Api.Server_stats _ -> ()
+  | Api.Error { code; _ } -> check "refusal code" Api.code_admission code
+  | _ -> Alcotest.fail "expected stats or a refusal"
+
+(* Whether a fresh connection gets its stats request answered. A worker
+   that has just ended a connection takes a moment to be free again. *)
+let served path =
+  match connect path with
+  | exception Unix.Unix_error _ -> false
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          send fd stats_line;
+          match recv fd with
+          | Some l -> (
+              match Api.response_of_json (Json.of_string l) with
+              | Ok (Api.Server_stats _) -> true
+              | _ -> false)
+          | None -> false)
+
+(* serve_socket on a thread, once it serves requests; [stop] drains it
+   and returns its exit code *)
+let start_socket ?(srv = make ()) path =
+  let code = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () -> Atomic.set code (Some (Server.serve_socket srv ~path)))
+      ()
+  in
+  wait_until "the server" (fun () -> Atomic.get code = None && served path);
+  let stop () =
+    Server.request_drain srv ();
+    Thread.join th;
+    match Atomic.get code with
+    | Some c -> c
+    | None -> Alcotest.fail "serve_socket raised"
+  in
+  stop
+
+let test_socket_concurrent () =
+  let path = "concurrent.sock" in
+  let stop = start_socket path in
+  let a = connect path and b = connect path in
+  send a {|{"schema_version":1,"type":"sleep","id":"z","seconds":0.5}|};
+  (match response a with
+  | Api.Sleeping _ -> ()
+  | _ -> Alcotest.fail "expected sleeping");
+  (* b is answered while a's request is still in flight *)
+  expect_stats b;
+  (match response a with
+  | Api.Slept _ -> ()
+  | _ -> Alcotest.fail "expected slept");
+  List.iter Unix.close [ a; b ];
+  Alcotest.(check int) "exit code" 0 (stop ())
+
+let test_socket_connection_cap () =
+  let path = "cap.sock" in
+  let stop = start_socket path in
+  let idle = List.init 200 (fun _ -> connect path) in
+  let c = connect path in
+  expect_stats_or_refusal c;
+  Alcotest.(check bool) "socket file kept" true (Sys.file_exists path);
+  List.iter Unix.close (c :: idle);
+  (* the workers come back: a fresh connection is served again *)
+  wait_until "a free worker" (fun () -> served path);
+  Alcotest.(check int) "exit code" 0 (stop ())
+
+let test_socket_drain () =
+  let path = "drain.sock" in
+  let srv = make () in
+  let stop = start_socket ~srv path in
+  let c = connect path in
+  send c {|{"schema_version":1,"type":"drain","id":"q"}|};
+  (match response c with
+  | Api.Draining _ -> ()
+  | _ -> Alcotest.fail "expected draining");
+  Alcotest.(check int) "exit code" 0 (stop ());
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
+  Unix.close c
+
+let test_socket_not_stolen () =
+  let path = "owned.sock" in
+  (* a socket file nothing listens on is stale and gets replaced *)
+  let dead = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind dead (Unix.ADDR_UNIX path);
+  Unix.close dead;
+  let stop = start_socket path in
+  (* already draining: should it take the socket, it returns at once *)
+  let second = make () in
+  Server.request_drain second ();
+  (match Server.serve_socket second ~path with
+  | _ -> Alcotest.fail "a second server took a live socket"
+  | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ());
+  Alcotest.(check bool) "socket file kept" true (Sys.file_exists path);
+  let c = connect path in
+  expect_stats c;
+  Unix.close c;
+  Alcotest.(check int) "exit code" 0 (stop ())
+
+let test_socket_survives_fd_exhaustion () =
+  let path = "fds.sock" in
+  let stop = start_socket path in
+  let c = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* a process allowed more descriptors than this is not exhausted here *)
+  let rec exhaust n acc =
+    if n = 0 then (
+      List.iter Unix.close acc;
+      Unix.close c;
+      ignore (stop ());
+      Alcotest.skip ())
+    else
+      match Unix.dup Unix.stdin with
+      | fd -> exhaust (n - 1) (fd :: acc)
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> acc
+  in
+  let held = exhaust 65536 [] in
+  (* the server's accept fails while no descriptor is free *)
+  Unix.connect c (Unix.ADDR_UNIX path);
+  Unix.sleepf 0.5;
+  List.iter Unix.close held;
+  expect_stats_or_refusal c;
+  Unix.close c;
+  wait_until "a served request" (fun () -> served path);
+  Alcotest.(check int) "exit code" 0 (stop ())
+
 let () =
   Alcotest.run "server"
     [
@@ -251,5 +438,16 @@ let () =
           Alcotest.test_case "warm cache" `Quick test_warm_cache_across_requests;
           Alcotest.test_case "drain" `Quick test_drain_rejects_new_work;
           Alcotest.test_case "signal code" `Quick test_signal_exit_code_wins_once;
+        ] );
+      ( "socket",
+        [
+          Alcotest.test_case "concurrent connections" `Quick
+            test_socket_concurrent;
+          Alcotest.test_case "connection cap" `Quick test_socket_connection_cap;
+          Alcotest.test_case "drain" `Quick test_socket_drain;
+          Alcotest.test_case "live socket not stolen" `Quick
+            test_socket_not_stolen;
+          Alcotest.test_case "fd exhaustion" `Quick
+            test_socket_survives_fd_exhaustion;
         ] );
     ]

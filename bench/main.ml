@@ -5,7 +5,8 @@
    [--bechamel] mode additionally runs a Bechamel micro-benchmark suite
    with one Test.make per table, timing the table's underlying workload
    on a reduced configuration (Bechamel needs many iterations, so each
-   test wraps a single-circuit slice of the table's computation).
+   test wraps a single-circuit slice of the table's computation), plus
+   solver rows timing one near-trivial Prop.1 check per run.
 
    Usage:
      dune exec bench/main.exe                 # all tables + figure + ablations
@@ -19,6 +20,9 @@ module Method = Step_core.Method
 module Engine = Step_engine.Engine
 module Config = Step_engine.Config
 module Gate = Step_core.Gate
+module Copies = Step_core.Copies
+module Partition = Step_core.Partition
+module Problem = Step_core.Problem
 
 let usage () =
   prerr_endline
@@ -183,26 +187,63 @@ let () =
           (Staged.stage (method_run Method.Ljh));
       ]
     in
+    (* Solver rows: the per-call cost of the SAT solver, apart from any
+       search. Each run is one [Copies.check] on output 0's Prop.1
+       scaffold (the one the exact methods build) under the next of 256
+       seeded random partitions of its support; nearly all of them are
+       refuted with a handful of conflicts at most. *)
+    let copies_check name =
+      let c = Step_aig.Circuit.compact (Step_circuits.Suite.by_name name) in
+      let p = Problem.of_output c 0 in
+      let copies = Copies.create p Gate.Or_gate in
+      let st = Random.State.make [| 7 |] in
+      let parts =
+        Array.init 256 (fun _ ->
+            let xa, xb, xc =
+              List.fold_left
+                (fun (xa, xb, xc) i ->
+                  match Random.State.int st 3 with
+                  | 0 -> (i :: xa, xb, xc)
+                  | 1 -> (xa, i :: xb, xc)
+                  | _ -> (xa, xb, i :: xc))
+                ([], [], []) p.Problem.support
+            in
+            Partition.make ~xa ~xb ~xc)
+      in
+      let i = ref 0 in
+      fun () ->
+        ignore (Copies.check copies parts.(!i land 255));
+        incr i
+    in
+    let solver_tests =
+      List.map
+        (fun name ->
+          Test.make
+            ~name:(Printf.sprintf "sat Copies.check (%s po0)" name)
+            (Staged.stage (copies_check name)))
+        [ "C7552"; "s38584.1" ]
+    in
     let instances = Toolkit.Instance.[ monotonic_clock ] in
     let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 2.0) () in
     let ols =
       Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| "run" |]
     in
-    List.iter
-      (fun test ->
-        let raw = Benchmark.all cfg instances test in
-        let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-        Hashtbl.iter
-          (fun label o ->
-            let per_run_ns =
-              match Analyze.OLS.estimates o with
-              | Some (t :: _) -> t
-              | Some [] | None -> nan
-            in
-            Printf.printf "bechamel %-40s %10.3f ms/run\n" label
-              (per_run_ns /. 1e6))
-          results)
-      tests;
+    let report ~unit_label ~ns_per_unit test =
+      let raw = Benchmark.all cfg instances test in
+      let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+      Hashtbl.iter
+        (fun label o ->
+          let per_run_ns =
+            match Analyze.OLS.estimates o with
+            | Some (t :: _) -> t
+            | Some [] | None -> nan
+          in
+          Printf.printf "bechamel %-40s %10.3f %s\n" label
+            (per_run_ns /. ns_per_unit) unit_label)
+        results
+    in
+    List.iter (report ~unit_label:"ms/run" ~ns_per_unit:1e6) tests;
+    List.iter (report ~unit_label:"us/call" ~ns_per_unit:1e3) solver_tests;
     print_endline "bechamel suite done"
   end
   else begin

@@ -15,7 +15,7 @@
     - [BLF001]–[BLF003]: BLIF signal drivers
     - [AAG001]–[AAG003]: ASCII AIGER literal definitions
     - [PAR001]–[PAR003]: partition coverage and symmetry
-    - [SAN001]–[SAN003]: solver sanitizer (emitted by [Step_sat.Solver])
+    - [SAN001]–[SAN004]: solver sanitizer (emitted by [Step_sat.Solver])
     - [PRF001]–[PRF007]: DRAT/LRAT proof traces and certificates
       (format-level rules here; the semantic rules PRF004/PRF006/PRF007
       are emitted by the independent checker in [Step_cert])

@@ -108,12 +108,13 @@ type t = {
   trail : Veci.t;
   trail_lim : Veci.t;
   mutable qhead : int;
-  mutable order : Idx_heap.t;
+  order : Idx_heap.t; (* decision heap keyed by [activity] *)
   mutable nvars : int;
   mutable var_inc : float;
   mutable ok : bool;
   mutable sanitize : bool;
-  mutable model : Bytes.t;
+  mutable model : Bytes.t; (* last Sat assignment, reused across calls *)
+  mutable model_len : int; (* its live prefix: vars at that answer *)
   mutable core : int list;
   (* per-conflict scratch, reused to keep analysis allocation-free *)
   tmp_learnt : Veci.t;
@@ -142,59 +143,56 @@ type t = {
 }
 
 let create ?(proof = false) () =
-  let s =
-    {
-      arena = Arena.create ~cap:4096 ();
-      cmap = Veci.create ();
-      cflags = Bytes.make 64 '\000';
-      n_problem = 0;
-      dead_lits = Hashtbl.create 16;
-      learnts = Veci.create ();
-      watches = Array.init 32 (fun _ -> Veci.create ~cap:4 ());
-      assign = Bytes.make 16 '\000';
-      level = Array.make 16 0;
-      reason = Array.make 16 (-1);
-      activity = Array.make 16 0.;
-      polarity = Bytes.make 16 '\000';
-      seen = Epoch.create ();
-      lbd_seen = Epoch.create ();
-      mark = Epoch.create ();
-      trail = Veci.create ();
-      trail_lim = Veci.create ();
-      qhead = 0;
-      order = Idx_heap.create ~gt:(fun _ _ -> false);
-      nvars = 0;
-      var_inc = 1.0;
-      ok = true;
-      sanitize =
-        (match Sys.getenv_opt "STEP_SANITIZE" with
-        | Some ("1" | "true" | "yes" | "on") -> true
-        | Some _ | None -> false);
-      model = Bytes.make 0 '\000';
-      core = [];
-      tmp_learnt = Veci.create ();
-      tmp_premises = Veci.create ();
-      tmp_pivots = Veci.create ();
-      conflicts = 0;
-      decisions = 0;
-      propagations = 0;
-      max_learnts = 0.;
-      inprocessing = not proof;
-      inprocess_next = 4000;
-      conflict_budget = -1;
-      conflict_limit = max_int;
-      time_budget = -1.;
-      deadline = infinity;
-      proof_mode = proof;
-      chain_ids = Veci.create ();
-      chains = Array.make 16 dummy_step;
-      n_chains = 0;
-      empty_chain = None;
-      proof_dels = Veci.create ();
-    }
-  in
-  s.order <- Idx_heap.create ~gt:(fun a b -> s.activity.(a) > s.activity.(b));
-  s
+  {
+    arena = Arena.create ~cap:4096 ();
+    cmap = Veci.create ();
+    cflags = Bytes.make 64 '\000';
+    n_problem = 0;
+    dead_lits = Hashtbl.create 16;
+    learnts = Veci.create ();
+    watches = Array.init 32 (fun _ -> Veci.create ~cap:4 ());
+    assign = Bytes.make 16 '\000';
+    level = Array.make 16 0;
+    reason = Array.make 16 (-1);
+    activity = Array.make 16 0.;
+    polarity = Bytes.make 16 '\000';
+    seen = Epoch.create ();
+    lbd_seen = Epoch.create ();
+    mark = Epoch.create ();
+    trail = Veci.create ();
+    trail_lim = Veci.create ();
+    qhead = 0;
+    order = Idx_heap.create ();
+    nvars = 0;
+    var_inc = 1.0;
+    ok = true;
+    sanitize =
+      (match Sys.getenv_opt "STEP_SANITIZE" with
+      | Some ("1" | "true" | "yes" | "on") -> true
+      | Some _ | None -> false);
+    model = Bytes.make 16 '\000';
+    model_len = 0;
+    core = [];
+    tmp_learnt = Veci.create ();
+    tmp_premises = Veci.create ();
+    tmp_pivots = Veci.create ();
+    conflicts = 0;
+    decisions = 0;
+    propagations = 0;
+    max_learnts = 0.;
+    inprocessing = not proof;
+    inprocess_next = 4000;
+    conflict_budget = -1;
+    conflict_limit = max_int;
+    time_budget = -1.;
+    deadline = infinity;
+    proof_mode = proof;
+    chain_ids = Veci.create ();
+    chains = Array.make 16 dummy_step;
+    n_chains = 0;
+    empty_chain = None;
+    proof_dels = Veci.create ();
+  }
 
 let proof_logging s = s.proof_mode
 
@@ -262,7 +260,7 @@ let new_var s =
   s.reason.(v) <- -1;
   s.activity.(v) <- 0.;
   s.nvars <- v + 1;
-  Idx_heap.insert s.order v;
+  Idx_heap.insert s.order s.activity v;
   v
 
 let ensure_var s v =
@@ -277,9 +275,19 @@ let value_lit s l =
   let a = Char.code (Bytes.unsafe_get s.assign (Lit.var l)) in
   if a = 0 then 0 else if Lit.is_pos l then a else 3 - a
 
-let lit_true s l = value_lit s l = 1
+(* The same tests on the assignment bytes, for hot loops that bind
+   [s.assign] once: a positive literal is even (see {!Lit}), so [l] is
+   true when its variable's code is [1 + (l land 1)] and false when it is
+   [2 - (l land 1)]. *)
+let[@inline] assigned_true assign l =
+  Char.code (Bytes.unsafe_get assign (l lsr 1)) = 1 + (l land 1)
 
-let lit_false s l = value_lit s l = 2
+let[@inline] assigned_false assign l =
+  Char.code (Bytes.unsafe_get assign (l lsr 1)) = 2 - (l land 1)
+
+let lit_true s l = assigned_true s.assign l
+
+let lit_false s l = assigned_false s.assign l
 
 let lit_unassigned s l = value_lit s l = 0
 
@@ -294,7 +302,7 @@ let var_rescale s =
 let var_bump s v =
   s.activity.(v) <- s.activity.(v) +. s.var_inc;
   if s.activity.(v) > 1e100 then var_rescale s;
-  Idx_heap.increased s.order v
+  Idx_heap.increased s.order s.activity v
 
 let var_decay s = s.var_inc <- s.var_inc /. 0.95
 
@@ -379,7 +387,7 @@ let cancel_until s lvl =
       Bytes.unsafe_set s.assign v '\000';
       Bytes.unsafe_set s.polarity v (if Lit.is_pos l then '\001' else '\000');
       s.reason.(v) <- -1;
-      Idx_heap.insert s.order v
+      Idx_heap.insert s.order s.activity v
     done;
     Veci.shrink s.trail bound;
     Veci.shrink s.trail_lim lvl;
@@ -388,29 +396,34 @@ let cancel_until s lvl =
 
 (* ---------- propagation ---------- *)
 
-(* Returns the arena ref of a conflicting clause, or -1. The bank is read
-   through one local binding: nothing in this loop allocates arena blocks,
-   so the reference stays valid throughout. *)
+(* Returns the arena ref of a conflicting clause, or -1. The bank, the
+   assignment and each watch list's backing array are read through local
+   bindings: nothing in this loop allocates arena blocks, grows the
+   variable tables, or pushes onto the list being scanned (a moved watch
+   goes to the list of a literal that is not false), so the references
+   stay valid throughout. *)
 let propagate s =
   let confl = ref (-1) in
   let bank = Arena.bank s.arena in
+  let assign = s.assign in
   while !confl < 0 && s.qhead < Veci.length s.trail do
     let p = Veci.get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
     s.propagations <- s.propagations + 1;
     let false_lit = Lit.negate p in
     let w = s.watches.(false_lit) in
+    let ws = Veci.data w in
     (* compact in place: keep pairs that stay *)
     let i = ref 0 and j = ref 0 in
     let n = Veci.length w in
     while !i < n do
-      let r = Veci.unsafe_get w !i in
-      let blocker = Veci.unsafe_get w (!i + 1) in
+      let r = Array.unsafe_get ws !i in
+      let blocker = Array.unsafe_get ws (!i + 1) in
       i := !i + 2;
-      if lit_true s blocker then begin
+      if assigned_true assign blocker then begin
         (* satisfied via the blocker: keep without touching the block *)
-        Veci.unsafe_set w !j r;
-        Veci.unsafe_set w (!j + 1) blocker;
+        Array.unsafe_set ws !j r;
+        Array.unsafe_set ws (!j + 1) blocker;
         j := !j + 2
       end
       else begin
@@ -426,16 +439,18 @@ let propagate s =
           else l0
         in
         if s.sanitize then assert (Array.unsafe_get bank (r + 4) = false_lit);
-        if first <> blocker && lit_true s first then begin
-          Veci.unsafe_set w !j r;
-          Veci.unsafe_set w (!j + 1) first;
+        if first <> blocker && assigned_true assign first then begin
+          Array.unsafe_set ws !j r;
+          Array.unsafe_set ws (!j + 1) first;
           j := !j + 2
         end
         else begin
           (* search replacement watch *)
           let len = Array.unsafe_get bank (r + 1) in
           let k = ref 2 in
-          while !k < len && lit_false s (Array.unsafe_get bank (r + 3 + !k)) do
+          while
+            !k < len && assigned_false assign (Array.unsafe_get bank (r + 3 + !k))
+          do
             incr k
           done;
           if !k < len then begin
@@ -448,18 +463,16 @@ let propagate s =
           end
           else begin
             (* unit or conflict *)
-            Veci.unsafe_set w !j r;
-            Veci.unsafe_set w (!j + 1) first;
+            Array.unsafe_set ws !j r;
+            Array.unsafe_set ws (!j + 1) first;
             j := !j + 2;
-            if lit_false s first then begin
+            if assigned_false assign first then begin
               confl := r;
               s.qhead <- Veci.length s.trail;
               (* copy remaining pairs *)
-              while !i < n do
-                Veci.unsafe_set w !j (Veci.unsafe_get w !i);
-                incr i;
-                incr j
-              done
+              Array.blit ws !i ws !j (n - !i);
+              j := !j + (n - !i);
+              i := n
             end
             else enqueue s first r
           end
@@ -1280,11 +1293,24 @@ let audit_clauses s add =
           (Printf.sprintf "learnt index references problem clause ref %d" r))
     s.learnts
 
+(* Decision heap (SAN004): heap order over activity, slots and positions
+   that agree, and every unassigned variable still a branching candidate —
+   otherwise [pick_branch] could report a model with a variable open. *)
+let audit_heap s add =
+  Idx_heap.audit s.order s.activity (add "SAN004");
+  for v = 0 to s.nvars - 1 do
+    if Char.code (Bytes.get s.assign v) = 0 && not (Idx_heap.in_heap s.order v)
+    then
+      add "SAN004"
+        (Printf.sprintf "unassigned var %d missing from the decision heap" v)
+  done
+
 let audit s =
   let diags = ref [] in
   let add code msg = diags := Diag.error ~item:"solver" ~code msg :: !diags in
   audit_trail s add;
   audit_clauses s add;
+  audit_heap s add;
   List.rev !diags
 
 let sanitize_fail diags = raise (Sanitizer_violation diags)
@@ -1307,7 +1333,7 @@ let pick_branch s =
   let rec go () =
     if Idx_heap.is_empty s.order then -1
     else begin
-      let v = Idx_heap.remove_max s.order in
+      let v = Idx_heap.remove_max s.order s.activity in
       if Char.code (Bytes.get s.assign v) = 0 then v else go ()
     end
   in
@@ -1396,7 +1422,10 @@ let search s assumptions nof_conflicts =
         let v = pick_branch s in
         if v < 0 then begin
           (* model found *)
-          s.model <- Bytes.sub s.assign 0 s.nvars;
+          if Bytes.length s.model < s.nvars then
+            s.model <- Bytes.create (Bytes.length s.assign);
+          Bytes.blit s.assign 0 s.model 0 s.nvars;
+          s.model_len <- s.nvars;
           raise (Done Sat)
         end;
         if s.sanitize then sanitize_checkpoint s;
@@ -1413,10 +1442,12 @@ let search s assumptions nof_conflicts =
 let solve_limited ?(assumptions = []) s =
   Step_fault.Fault.hit "solver.solve";
   List.iter (fun l -> ensure_var s (Lit.var l)) assumptions;
+  let t0 = Clock.now () in
   if not s.ok then begin
     s.core <- [];
     Metrics.inc m_calls;
     Metrics.inc m_unsat;
+    Metrics.observe h_solve (Clock.elapsed_since t0);
     Unsat
   end
   else begin
@@ -1425,7 +1456,6 @@ let solve_limited ?(assumptions = []) s =
     s.core <- [];
     s.max_learnts <-
       Float.max 4000. (float_of_int (max 1 s.n_problem) /. 3.);
-    let t0 = Clock.now () in
     let conflicts0 = s.conflicts in
     let decisions0 = s.decisions in
     let propagations0 = s.propagations in
@@ -1505,7 +1535,7 @@ let set_time_budget s t = s.time_budget <- t
 
 let model_value s l =
   let v = Lit.var l in
-  if v >= Bytes.length s.model then false
+  if v >= s.model_len then false
   else begin
     let a = Char.code (Bytes.get s.model v) in
     if Lit.is_pos l then a = 1 else a = 2

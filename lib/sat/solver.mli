@@ -29,17 +29,19 @@ val create : ?proof:bool -> unit -> t
 
 val set_sanitize : t -> bool -> unit
 (** Toggles the runtime invariant sanitizer. When on, the solver audits
-    trail/assignment consistency at every decision boundary and
-    watch-list/clause-store integrity every 64 decisions and at
-    [solve] entry/exit, raising {!Sanitizer_violation} on a broken
-    invariant. When off, all checks are skipped. *)
+    trail/assignment consistency at every decision boundary,
+    watch-list/clause-store integrity every 64 decisions, and all of
+    those plus the decision heap at [solve] entry/exit, raising
+    {!Sanitizer_violation} on a broken invariant. When off, all checks
+    are skipped. *)
 
 val sanitize_enabled : t -> bool
 
 val audit : t -> Step_lint.Diag.t list
 (** Runs all invariant audits immediately and returns the violations
     found (codes SAN001 watch-list, SAN002 trail/assignment, SAN003
-    clause references) without raising. Empty on a healthy solver. *)
+    clause references, SAN004 decision heap) without raising. Empty on a
+    healthy solver. *)
 
 val proof_logging : t -> bool
 

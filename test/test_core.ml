@@ -18,6 +18,8 @@ module Verify = Step_core.Verify
 module Method = Step_core.Method
 module Engine = Step_engine.Engine
 module Config = Step_engine.Config
+module Suite = Step_circuits.Suite
+module Metrics = Step_obs.Metrics
 
 (* ---------- generators ---------- *)
 
@@ -335,6 +337,38 @@ let test_qbf_simulation_refutes_parity () =
         (Step_obs.Metrics.value refuted - before))
     [ Gate.Or_gate; Gate.And_gate ]
 
+(* The solver's search is part of the answer: its decisions fix which
+   counterexamples CEGAR sees, so a change meant to make the solver only
+   faster must leave every count below as it is. The figures were recorded
+   before the decision heap was specialised to activity scores. *)
+let test_qbf_search_golden () =
+  let c = Circuit.compact (Suite.by_name "C7552") in
+  let counters =
+    [ "sat.calls"; "sat.decisions"; "sat.propagations"; "sat.conflicts" ]
+  in
+  List.iter
+    (fun (po, refinements, queries, expected) ->
+      let p = Problem.of_output c po in
+      let before =
+        List.map (fun n -> Metrics.value (Metrics.counter n)) counters
+      in
+      let o = Qbf_model.optimize p Gate.Or_gate Qbf_model.Disjointness in
+      let deltas =
+        List.map2
+          (fun n b -> (n, Metrics.value (Metrics.counter n) - b))
+          counters before
+      in
+      let label = Printf.sprintf "po%d " po in
+      Alcotest.(check int) (label ^ "refinements") refinements
+        o.Qbf_model.refinements;
+      Alcotest.(check int) (label ^ "queries") queries o.Qbf_model.qbf_queries;
+      Alcotest.(check (list (pair string int))) (label ^ "solver counts")
+        (List.combine counters expected) deltas)
+    [
+      (0, 347, 1, [ 695; 43682; 354207; 876 ]);
+      (4, 302, 1, [ 605; 38824; 317931; 361 ]);
+    ]
+
 let test_qbf_bootstrap_never_worse () =
   let p, _ = planted_problem Gate.Or_gate 37 in
   let copies = Copies.create p Gate.Or_gate in
@@ -622,6 +656,8 @@ let () =
             test_mg_copies_mismatch_rejected;
           Alcotest.test_case "simulation refutes parity" `Quick
             test_qbf_simulation_refutes_parity;
+          Alcotest.test_case "C7552 search golden" `Quick
+            test_qbf_search_golden;
         ] );
       ( "extract",
         [

@@ -4,6 +4,7 @@
 module Lit = Step_sat.Lit
 module Solver = Step_sat.Solver
 module Dimacs = Step_sat.Dimacs
+module Metrics = Step_obs.Metrics
 
 let pos = Lit.pos
 let neg = Lit.neg_of_var
@@ -256,6 +257,40 @@ let test_sanitizer_audit_fresh () =
   ignore (Solver.add_clause s [ pos 0; pos 1 ]);
   Alcotest.(check int) "fresh solver audits clean" 0
     (List.length (Solver.audit s))
+
+(* [sat.solve_s] observes every call [sat.calls] counts, including the
+   early return of a solver already refuted at level 0. *)
+let test_solve_histogram_counts_calls () =
+  let calls = Metrics.counter "sat.calls" in
+  let h = Metrics.histogram "sat.solve_s" in
+  let c0 = Metrics.value calls and h0 = (Metrics.stats h).Metrics.count in
+  let sat = solver_of [ [ pos 0; pos 1 ]; [ neg 0 ] ] in
+  Alcotest.(check bool) "sat" true (Solver.solve sat);
+  let refuted = solver_of [ [ pos 0 ]; [ neg 0 ] ] in
+  Alcotest.(check bool) "refuted" false (Solver.solve refuted);
+  Alcotest.(check bool) "still refuted" false (Solver.solve refuted);
+  Alcotest.(check bool) "not okay" false (Solver.okay refuted);
+  Alcotest.(check int) "calls" 3 (Metrics.value calls - c0);
+  Alcotest.(check int) "histogram count" 3
+    ((Metrics.stats h).Metrics.count - h0)
+
+(* The model buffer is reused across answers: each Sat answer must read
+   its own assignment, and variables created after it read false. *)
+let test_model_reuse () =
+  let s = solver_of [ [ pos 0; pos 1 ]; [ neg 0; neg 1 ] ] in
+  Alcotest.(check bool) "sat x0" true (Solver.solve ~assumptions:[ pos 0 ] s);
+  Alcotest.(check (pair bool bool)) "x0 model" (true, false)
+    (Solver.var_value s 0, Solver.var_value s 1);
+  Alcotest.(check bool) "sat x1" true (Solver.solve ~assumptions:[ pos 1 ] s);
+  Alcotest.(check (pair bool bool)) "x1 model" (false, true)
+    (Solver.var_value s 0, Solver.var_value s 1);
+  let v = Solver.new_var s in
+  Alcotest.(check bool) "fresh var" false (Solver.var_value s v);
+  Alcotest.(check bool) "fresh var negated" false
+    (Solver.model_value s (neg v));
+  Alcotest.(check bool) "unsat" false
+    (Solver.solve ~assumptions:[ pos 0; pos 1 ] s);
+  Alcotest.(check bool) "last model kept" true (Solver.var_value s 1)
 
 let test_large_random_sat () =
   (* a satisfiable planted instance with 300 vars *)
@@ -581,6 +616,9 @@ let () =
           Alcotest.test_case "conflict budget" `Quick test_conflict_budget;
           Alcotest.test_case "large planted instance" `Quick
             test_large_random_sat;
+          Alcotest.test_case "solve_s counts every call" `Quick
+            test_solve_histogram_counts_calls;
+          Alcotest.test_case "model reuse" `Quick test_model_reuse;
         ] );
       ( "dimacs",
         [

@@ -70,45 +70,38 @@ let test_veci_growth () =
 
 let test_heap_extracts_in_order () =
   let score = Array.make 16 0.0 in
-  let h = Idx_heap.create ~gt:(fun a b -> score.(a) > score.(b)) in
+  let h = Idx_heap.create () in
   List.iteri
     (fun i s ->
       score.(i) <- s;
-      Idx_heap.insert h i)
+      Idx_heap.insert h score i)
     [ 3.0; 1.0; 4.0; 1.5; 9.0; 2.6 ];
-  let order = List.init 6 (fun _ -> Idx_heap.remove_max h) in
+  let order = List.init 6 (fun _ -> Idx_heap.remove_max h score) in
   Alcotest.(check (list int)) "descending by score" [ 4; 2; 0; 5; 3; 1 ] order;
   Alcotest.(check bool) "empty" true (Idx_heap.is_empty h)
 
 let test_heap_no_duplicates () =
-  let h = Idx_heap.create ~gt:(fun a b -> a > b) in
-  Idx_heap.insert h 5;
-  Idx_heap.insert h 5;
+  let score = Array.init 8 float_of_int in
+  let h = Idx_heap.create () in
+  Idx_heap.insert h score 5;
+  Idx_heap.insert h score 5;
   Alcotest.(check int) "size" 1 (Idx_heap.size h);
   Alcotest.(check bool) "in_heap" true (Idx_heap.in_heap h 5);
-  ignore (Idx_heap.remove_max h);
+  ignore (Idx_heap.remove_max h score);
   Alcotest.(check bool) "removed" false (Idx_heap.in_heap h 5)
 
 let test_heap_increased () =
   let score = Array.make 8 0.0 in
-  let h = Idx_heap.create ~gt:(fun a b -> score.(a) > score.(b)) in
+  let h = Idx_heap.create () in
   List.iter
     (fun i ->
       score.(i) <- float_of_int i;
-      Idx_heap.insert h i)
+      Idx_heap.insert h score i)
     [ 0; 1; 2; 3 ];
   (* bump key 0 above everything *)
   score.(0) <- 100.0;
-  Idx_heap.increased h 0;
-  Alcotest.(check int) "max is 0" 0 (Idx_heap.remove_max h)
-
-let test_heap_rebuild () =
-  let h = Idx_heap.create ~gt:(fun a b -> a > b) in
-  List.iter (Idx_heap.insert h) [ 1; 2; 3 ];
-  Idx_heap.rebuild h [ 7; 5 ];
-  Alcotest.(check int) "size" 2 (Idx_heap.size h);
-  Alcotest.(check int) "max" 7 (Idx_heap.remove_max h);
-  Alcotest.(check bool) "old gone" false (Idx_heap.in_heap h 2)
+  Idx_heap.increased h score 0;
+  Alcotest.(check int) "max is 0" 0 (Idx_heap.remove_max h score)
 
 let prop_heap_sorts =
   QCheck2.Test.make ~count:200 ~name:"heap removal is a sort"
@@ -116,16 +109,88 @@ let prop_heap_sorts =
     QCheck2.Gen.(list_size (int_range 1 40) (float_range 0.0 100.0))
     (fun scores ->
       let scores = Array.of_list scores in
-      let h =
-        Idx_heap.create ~gt:(fun a b -> scores.(a) > scores.(b))
-      in
-      Array.iteri (fun i _ -> Idx_heap.insert h i) scores;
+      let h = Idx_heap.create () in
+      Array.iteri (fun i _ -> Idx_heap.insert h scores i) scores;
       let out = ref [] in
       while not (Idx_heap.is_empty h) do
-        out := scores.(Idx_heap.remove_max h) :: !out
+        out := scores.(Idx_heap.remove_max h scores) :: !out
       done;
       (* removals came out descending, so !out is ascending *)
       !out = List.sort compare !out)
+
+(* The solver's decisions are the heap's pop order, so the specialised
+   heap must pop exactly what the closure heap it replaced pops, ties
+   included: scores are small integers and bumps may add 0, so equal
+   scores are common. *)
+type heap_op = Insert of int | Bump of int * int | Pop
+
+let n_heap_keys = 48
+
+let gen_heap_ops =
+  let open QCheck2.Gen in
+  list_size (int_range 1 300)
+    (frequency
+       [
+         (4, map (fun k -> Insert k) (int_bound (n_heap_keys - 1)));
+         ( 3,
+           map2 (fun k d -> Bump (k, d)) (int_bound (n_heap_keys - 1))
+             (int_bound 2) );
+         (3, pure Pop);
+       ])
+
+let print_heap_op = function
+  | Insert k -> Printf.sprintf "insert %d" k
+  | Bump (k, d) -> Printf.sprintf "bump %d +%d" k d
+  | Pop -> "pop"
+
+let prop_heap_matches_closure_heap =
+  QCheck2.Test.make ~count:300 ~name:"heap pops match the closure heap"
+    ~print:(fun (init, ops) ->
+      String.concat ","
+        (List.map string_of_int init @ List.map print_heap_op ops))
+    QCheck2.Gen.(
+      pair (list_repeat n_heap_keys (int_bound 3)) gen_heap_ops)
+    (fun (init, ops) ->
+      let score = Array.of_list (List.map float_of_int init) in
+      let h = Idx_heap.create () in
+      let r = Closure_heap.create ~gt:(fun a b -> score.(a) > score.(b)) in
+      List.for_all
+        (function
+          | Insert k ->
+              Idx_heap.insert h score k;
+              Closure_heap.insert r k;
+              true
+          | Bump (k, d) ->
+              score.(k) <- score.(k) +. float_of_int d;
+              Idx_heap.increased h score k;
+              Closure_heap.increased r k;
+              true
+          | Pop ->
+              Idx_heap.is_empty h = Closure_heap.is_empty r
+              && (Idx_heap.is_empty h
+                 || Idx_heap.remove_max h score = Closure_heap.remove_max r))
+        ops
+      &&
+      let rest = ref true in
+      while !rest && not (Closure_heap.is_empty r) do
+        rest :=
+          (not (Idx_heap.is_empty h))
+          && Idx_heap.remove_max h score = Closure_heap.remove_max r
+      done;
+      !rest && Idx_heap.is_empty h)
+
+let test_heap_audit () =
+  let score = Array.init 8 float_of_int in
+  let h = Idx_heap.create () in
+  List.iter (Idx_heap.insert h score) [ 3; 1; 6; 0 ];
+  let found = ref [] in
+  Idx_heap.audit h score (fun m -> found := m :: !found);
+  Alcotest.(check (list string)) "healthy heap" [] !found;
+  (* the max grows out of order without [increased]: key 0 now outranks
+     its parent *)
+  score.(0) <- 100.0;
+  Idx_heap.audit h score (fun m -> found := m :: !found);
+  Alcotest.(check int) "order violation reported" 1 (List.length !found)
 
 (* ---------- Lit ---------- *)
 
@@ -172,8 +237,9 @@ let () =
             test_heap_extracts_in_order;
           Alcotest.test_case "no duplicates" `Quick test_heap_no_duplicates;
           Alcotest.test_case "increased" `Quick test_heap_increased;
-          Alcotest.test_case "rebuild" `Quick test_heap_rebuild;
+          Alcotest.test_case "audit" `Quick test_heap_audit;
         ] );
       ("lit", [ Alcotest.test_case "encoding" `Quick test_lit_encoding ]);
-      qsuite "properties" [ prop_heap_sorts; prop_lit_roundtrip ];
+      qsuite "properties"
+        [ prop_heap_sorts; prop_heap_matches_closure_heap; prop_lit_roundtrip ];
     ]

@@ -3,16 +3,21 @@ module Solver = Step_sat.Solver
 module Lit = Step_sat.Lit
 module Tseitin = Step_cnf.Tseitin
 
+(* Per-input data is held by support position, the index into
+   [support]; [pos] maps an input index back to its position. *)
 type t = {
   problem : Problem.t;
   gate : Gate.t;
   enc : Tseitin.t;
-  orig_lit : (int, Lit.t) Hashtbl.t; (* input idx -> SAT lit of x_i *)
-  copy1_lit : (int, Lit.t) Hashtbl.t; (* -> SAT lit of x'_i *)
-  copy2_lit : (int, Lit.t) Hashtbl.t; (* -> SAT lit of x''_i *)
-  copy3_lit : (int, Lit.t) Hashtbl.t; (* XOR only: x'''_i *)
-  sel_alpha : (int, Lit.t) Hashtbl.t;
-  sel_beta : (int, Lit.t) Hashtbl.t;
+  support : int array;
+  pos : int array; (* input idx -> position; -1 outside the support *)
+  orig_lit : Lit.t array; (* SAT lit of x_i *)
+  copy1_lit : Lit.t array; (* x'_i *)
+  copy2_lit : Lit.t array; (* x''_i *)
+  copy3_lit : Lit.t array; (* XOR only: x'''_i; empty otherwise *)
+  sel_alpha : Lit.t array;
+  sel_beta : Lit.t array;
+  mark : Bytes.t; (* scratch of [assumptions]: each position's block *)
 }
 
 let problem c = c.problem
@@ -66,89 +71,100 @@ let create ?(proof = false) (p : Problem.t) gate_ =
   let solver = Tseitin.solver enc in
   ignore (Solver.add_clause solver [ Tseitin.lit_of enc matrix ]);
   let input_lit tbl i = Tseitin.lit_of enc (Hashtbl.find tbl i) in
-  let orig_lit = Hashtbl.create 16 in
-  let copy1_lit = Hashtbl.create 16 in
-  let copy2_lit = Hashtbl.create 16 in
-  let copy3_lit = Hashtbl.create 16 in
-  List.iter
-    (fun i ->
-      Hashtbl.replace orig_lit i (Tseitin.lit_of_input enc i);
-      Hashtbl.replace copy1_lit i (input_lit c1 i);
-      Hashtbl.replace copy2_lit i (input_lit c2 i);
+  let support_a = Array.of_list support in
+  let n = Array.length support_a in
+  let orig_lit = Array.make n (Lit.pos 0) in
+  let copy1_lit = Array.make n (Lit.pos 0) in
+  let copy2_lit = Array.make n (Lit.pos 0) in
+  let copy3_lit = Array.make (if c3 = None then 0 else n) (Lit.pos 0) in
+  Array.iteri
+    (fun j i ->
+      orig_lit.(j) <- Tseitin.lit_of_input enc i;
+      copy1_lit.(j) <- input_lit c1 i;
+      copy2_lit.(j) <- input_lit c2 i;
       match c3 with
-      | Some c3 -> Hashtbl.replace copy3_lit i (input_lit c3 i)
+      | Some c3 -> copy3_lit.(j) <- input_lit c3 i
       | None -> ())
-    support;
+    support_a;
   (* sel → (a ≡ b) for each equality pair carried by the selector *)
   let equal_under sel a b =
     ignore (Solver.add_clause solver [ Lit.negate sel; Lit.negate a; b ]);
     ignore (Solver.add_clause solver [ Lit.negate sel; a; Lit.negate b ])
   in
   let mk_selectors pairs_of =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun i ->
+    Array.init n (fun j ->
         let s = Tseitin.fresh enc in
-        List.iter (fun (a, b) -> equal_under s a b) (pairs_of i);
-        Hashtbl.replace tbl i s)
-      support;
-    tbl
+        List.iter (fun (a, b) -> equal_under s a b) (pairs_of j);
+        s)
   in
-  let x i = Hashtbl.find orig_lit i in
-  let x1 i = Hashtbl.find copy1_lit i in
-  let x2 i = Hashtbl.find copy2_lit i in
-  let x3 i = Hashtbl.find copy3_lit i in
+  let x j = orig_lit.(j) in
+  let x1 j = copy1_lit.(j) in
+  let x2 j = copy2_lit.(j) in
+  let x3 j = copy3_lit.(j) in
   let sel_alpha, sel_beta =
     match gate_ with
     | Gate.Or_gate | Gate.And_gate ->
-        ( mk_selectors (fun i -> [ (x i, x1 i) ]),
-          mk_selectors (fun i -> [ (x i, x2 i) ]) )
+        ( mk_selectors (fun j -> [ (x j, x1 j) ]),
+          mk_selectors (fun j -> [ (x j, x2 j) ]) )
     | Gate.Xor_gate ->
         (* the fourth point reuses the primed values: pinning i outside XA
            forces x ≡ x' and x''' ≡ x''; outside XB forces x ≡ x'' and
            x''' ≡ x'; both together collapse all four points *)
-        ( mk_selectors (fun i -> [ (x i, x1 i); (x3 i, x2 i) ]),
-          mk_selectors (fun i -> [ (x i, x2 i); (x3 i, x1 i) ]) )
+        ( mk_selectors (fun j -> [ (x j, x1 j); (x3 j, x2 j) ]),
+          mk_selectors (fun j -> [ (x j, x2 j); (x3 j, x1 j) ]) )
   in
+  let pos = Array.make (Array.fold_left max (-1) support_a + 1) (-1) in
+  Array.iteri (fun j i -> pos.(i) <- j) support_a;
   {
     problem = p;
     gate = gate_;
     enc;
+    support = support_a;
+    pos;
     orig_lit;
     copy1_lit;
     copy2_lit;
     copy3_lit;
     sel_alpha;
     sel_beta;
+    mark = Bytes.make n '\000';
   }
 
-let alpha_selector c i = Hashtbl.find c.sel_alpha i
+let position c i =
+  if i >= 0 && i < Array.length c.pos && c.pos.(i) >= 0 then c.pos.(i)
+  else raise Not_found
 
-let beta_selector c i = Hashtbl.find c.sel_beta i
+let alpha_selector c i = c.sel_alpha.(position c i)
 
+let beta_selector c i = c.sel_beta.(position c i)
+
+(* [assumptions] sits on the hot path of every Copies.check: it marks each
+   position with its block in the reused [mark] buffer (blocks are
+   disjoint, see Partition.make) and reads the selectors off in support
+   order. *)
 let assumptions c (p : Partition.t) =
-  let support = c.problem.Problem.support in
-  let covered =
-    List.sort_uniq compare (p.Partition.xa @ p.Partition.xb @ p.Partition.xc)
+  let n = Array.length c.support in
+  Bytes.fill c.mark 0 n '\000';
+  let covered = ref 0 in
+  let put block i =
+    match position c i with
+    | j when Bytes.get c.mark j = '\000' ->
+        Bytes.set c.mark j block;
+        incr covered
+    | _ | (exception Not_found) ->
+        invalid_arg "Copies.assumptions: partition does not match support"
   in
-  if covered <> support then
+  List.iter (put 'a') p.Partition.xa;
+  List.iter (put 'b') p.Partition.xb;
+  List.iter (put 'c') p.Partition.xc;
+  if !covered <> n then
     invalid_arg "Copies.assumptions: partition does not match support";
-  (* hash sets instead of List.mem per support variable: [assumptions]
-     sits on the hot path of every Copies.check *)
-  let set_of l =
-    let s = Hashtbl.create (2 * List.length l + 1) in
-    List.iter (fun i -> Hashtbl.replace s i ()) l;
-    s
-  in
-  let in_xa = set_of p.Partition.xa and in_xb = set_of p.Partition.xb in
   let asm = ref [] in
-  List.iter
-    (fun i ->
-      if not (Hashtbl.mem in_xa i) then
-        asm := alpha_selector c i :: !asm;
-      if not (Hashtbl.mem in_xb i) then
-        asm := beta_selector c i :: !asm)
-    support;
+  for j = 0 to n - 1 do
+    let block = Bytes.get c.mark j in
+    if block <> 'a' then asm := c.sel_alpha.(j) :: !asm;
+    if block <> 'b' then asm := c.sel_beta.(j) :: !asm
+  done;
   !asm
 
 let solve_assuming c assumptions =
@@ -158,23 +174,21 @@ let check c p = solve_assuming c (assumptions c p)
 
 let diff_sets c =
   let s = solver c in
-  let differs tbl i =
-    Solver.model_value s (Hashtbl.find c.orig_lit i)
-    <> Solver.model_value s (Hashtbl.find tbl i)
+  let differs a b j = Solver.model_value s a.(j) <> Solver.model_value s b.(j) in
+  let collect violated =
+    let acc = ref [] in
+    for j = Array.length c.support - 1 downto 0 do
+      if violated j then acc := c.support.(j) :: !acc
+    done;
+    !acc
   in
-  let differs3 tbl i =
-    Solver.model_value s (Hashtbl.find c.copy3_lit i)
-    <> Solver.model_value s (Hashtbl.find tbl i)
-  in
-  let support = c.problem.Problem.support in
   match c.gate with
   | Gate.Or_gate | Gate.And_gate ->
-      ( List.filter (differs c.copy1_lit) support,
-        List.filter (differs c.copy2_lit) support )
+      ( collect (differs c.orig_lit c.copy1_lit),
+        collect (differs c.orig_lit c.copy2_lit) )
   | Gate.Xor_gate ->
-      ( List.filter
-          (fun i -> differs c.copy1_lit i || differs3 c.copy2_lit i)
-          support,
-        List.filter
-          (fun i -> differs c.copy2_lit i || differs3 c.copy1_lit i)
-          support )
+      ( collect (fun j ->
+            differs c.orig_lit c.copy1_lit j || differs c.copy3_lit c.copy2_lit j),
+        collect (fun j ->
+            differs c.orig_lit c.copy2_lit j || differs c.copy3_lit c.copy1_lit j)
+      )

@@ -148,13 +148,15 @@ let find ?copies ?seed_limit ?(seed_order = Spread) ?time_budget
     let beta_sel i = Copies.beta_selector c i in
     (* assumptions for the seed partition {u | v | rest}: all equalities
        except u on copy 1 and v on copy 2 *)
+    let support = Array.of_list p.Problem.support in
     let seed_assumptions u v =
-      List.concat_map
-        (fun i ->
-          let a = if i = u then [] else [ alpha_sel i ] in
-          let b = if i = v then [] else [ beta_sel i ] in
-          a @ b)
-        p.Problem.support
+      let asm = ref [] in
+      for j = Array.length support - 1 downto 0 do
+        let i = support.(j) in
+        if i <> v then asm := beta_sel i :: !asm;
+        if i <> u then asm := alpha_sel i :: !asm
+      done;
+      !asm
     in
     let rec scan pairs tried =
       if tried >= limit || Clock.now () > deadline then

@@ -5,7 +5,7 @@
 
      - Prop.1 SAT check vs truth-table reference vs BDD baseline
      - STEP-MG / LJH partitions validity (and QBF optimum <= both)
-     - the QD and QDB optima against exhaustive search
+     - the QD, QB and QDB optima against exhaustive search
      - both extraction engines, SAT-verified
      - the QDIMACS export solved back through the CEGAR engine
 
@@ -143,11 +143,12 @@ let round_check round st =
                   then fail round "extraction failed verification"
               | exception Aig.Blowup -> ())
             [ Extract.Quantify; Extract.Interpolate ]);
-    (* 3. method consistency: QBF optimum <= MG, QD and QDB optima equal
-       exhaustive search's; every answer valid *)
+    (* 3. method consistency: QBF optimum <= MG, QD, QB and QDB optima
+       equal exhaustive search's; every answer valid *)
     let mg = (Mg.find p g).Mg.partition in
     let lj = (Ljh.find p g).Ljh.partition in
     let qd = Qbf_model.optimize p g Qbf_model.Disjointness in
+    let qb = Qbf_model.optimize p g Qbf_model.Balancedness in
     let qdb = Qbf_model.optimize p g Qbf_model.Combined in
     let decomposable = Exhaustive.all_decomposable p g in
     List.iter
@@ -163,7 +164,11 @@ let round_check round st =
           fail round
             (Printf.sprintf "%s optimum %s, exhaustive %s (%s)" label
                (show o.Qbf_model.best_k) (show best) (Gate.to_string g)))
-      [ ("QD", Qbf_model.Disjointness, qd); ("QDB", Qbf_model.Combined, qdb) ];
+      [
+        ("QD", Qbf_model.Disjointness, qd);
+        ("QB", Qbf_model.Balancedness, qb);
+        ("QDB", Qbf_model.Combined, qdb);
+      ];
     (match (mg, qd.Qbf_model.partition) with
     | Some m, Some q ->
         if Partition.disjointness_k q > Partition.disjointness_k m then
@@ -183,6 +188,7 @@ let round_check round st =
         ("MG", mg);
         ("LJH", lj);
         ("QD", qd.Qbf_model.partition);
+        ("QB", qb.Qbf_model.partition);
         ("QDB", qdb.Qbf_model.partition);
       ]
   end

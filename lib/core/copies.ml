@@ -2,6 +2,7 @@ module Aig = Step_aig.Aig
 module Solver = Step_sat.Solver
 module Lit = Step_sat.Lit
 module Tseitin = Step_cnf.Tseitin
+module Sim = Step_aig.Sim
 
 (* Per-input data is held by support position, the index into
    [support]; [pos] maps an input index back to its position. *)
@@ -18,6 +19,7 @@ type t = {
   sel_alpha : Lit.t array;
   sel_beta : Lit.t array;
   mark : Bytes.t; (* scratch of [assumptions]: each position's block *)
+  sim : Sim.t Lazy.t; (* f's cone, inputs by position *)
 }
 
 let problem c = c.problem
@@ -128,11 +130,14 @@ let create ?(proof = false) (p : Problem.t) gate_ =
     sel_alpha;
     sel_beta;
     mark = Bytes.make n '\000';
+    sim = lazy (Sim.compile aig ~inputs:support_a p.Problem.f);
   }
 
 let position c i =
   if i >= 0 && i < Array.length c.pos && c.pos.(i) >= 0 then c.pos.(i)
   else raise Not_found
+
+let sim c = Lazy.force c.sim
 
 let alpha_selector c i = c.sel_alpha.(position c i)
 
@@ -172,9 +177,13 @@ let solve_assuming c assumptions =
 
 let check c p = solve_assuming c (assumptions c p)
 
+let model_x c j = Solver.model_value (solver c) c.orig_lit.(j)
+
 let diff_sets c =
   let s = solver c in
-  let differs a b j = Solver.model_value s a.(j) <> Solver.model_value s b.(j) in
+  let differs a b j =
+    Solver.model_value s a.(j) <> Solver.model_value s b.(j)
+  in
   let collect violated =
     let acc = ref [] in
     for j = Array.length c.support - 1 downto 0 do
@@ -187,8 +196,7 @@ let diff_sets c =
       ( collect (differs c.orig_lit c.copy1_lit),
         collect (differs c.orig_lit c.copy2_lit) )
   | Gate.Xor_gate ->
-      ( collect (fun j ->
-            differs c.orig_lit c.copy1_lit j || differs c.copy3_lit c.copy2_lit j),
-        collect (fun j ->
-            differs c.orig_lit c.copy2_lit j || differs c.copy3_lit c.copy1_lit j)
-      )
+      let x = c.orig_lit and x1 = c.copy1_lit in
+      let x2 = c.copy2_lit and x3 = c.copy3_lit in
+      ( collect (fun j -> differs x x1 j || differs x3 x2 j),
+        collect (fun j -> differs x x2 j || differs x3 x1 j) )

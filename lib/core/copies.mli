@@ -52,6 +52,16 @@ val validate : string -> t -> Problem.t -> Gate.t -> unit
 val solver : t -> Step_sat.Solver.t
 (** The underlying solver (e.g. to set budgets). *)
 
+val position : t -> int -> int
+(** [position c i]: the index of input [i] in the sorted support, which
+    is also its input position in {!sim}.
+    @raise Not_found if [i] is not in the support. *)
+
+val sim : t -> Step_aig.Sim.t
+(** The function's cone compiled for bit-parallel simulation, inputs by
+    {!position}. Compiled on first use and then shared by every caller of
+    this scaffold, so its input words are whatever the last caller set. *)
+
 val alpha_selector : t -> int -> Step_sat.Lit.t
 (** [alpha_selector c i]: assuming it keeps [i] out of [XA].
     @raise Not_found if [i] is not in the support. *)
@@ -77,3 +87,7 @@ val diff_sets : t -> int list * int list
     [tᵢ]-equalities are violated. The CEGAR refinement clause is
     [∨_{i ∈ d1} ¬αᵢ ∨ ∨_{i ∈ d2} ¬βᵢ]; the two sets never overlap for a
     counterexample obtained under a partition's assumptions. *)
+
+val model_x : t -> int -> bool
+(** After a [Sat] answer: the value of the input at {!position} [j] in the
+    counterexample's first point [X]. *)

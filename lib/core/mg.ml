@@ -45,11 +45,11 @@ let popcount w =
    the top bit is 0 for every input in every round, so that last lane
    simulates the all-zero vector, done once in the extra row and counted
    [rounds] times. *)
-let signature_pairs (p : Problem.t) =
+let signature_pairs c (p : Problem.t) =
   let aig = p.Problem.aig in
   let support = Array.of_list p.Problem.support in
   let n = Array.length support in
-  let sim = Sim.compile aig ~inputs:support p.Problem.f in
+  let sim = Copies.sim c in
   let st = Random.State.make [| 0x51d5; Aig.n_nodes aig |] in
   let rounds = 4 in
   let sigs = Array.make ((rounds + 1) * n) 0 in
@@ -194,7 +194,7 @@ let find ?copies ?seed_limit ?(seed_order = Spread) ?time_budget
     let pairs =
       match seed_order with
       | Spread -> seed_pairs p.Problem.support
-      | Signature -> signature_pairs p
+      | Signature -> signature_pairs c p
     in
     scan pairs 0
   end

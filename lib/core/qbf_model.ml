@@ -14,6 +14,8 @@ let m_optimize = Metrics.counter "qbf.optimize_calls"
 
 let m_pairs_refuted = Metrics.counter "qbf.pairs_refuted"
 
+let m_sim_refuted = Metrics.counter "qbf.sim_refuted"
+
 let h_query = Metrics.histogram "qbf.query_s"
 
 type target =
@@ -54,7 +56,7 @@ type abstraction = {
   alpha : Lit.t array; (* per support position *)
   beta : Lit.t array;
   shared : Lit.t array; (* c_i <-> ~alpha_i /\ ~beta_i *)
-  pos_of : (int, int) Hashtbl.t; (* input idx -> support position *)
+  position : int -> int; (* input idx -> support position *)
   mutable cnt_shared : Cardinality.counter option;
   mutable cnt_a : Cardinality.counter option;
   mutable cnt_b : Cardinality.counter option;
@@ -63,7 +65,8 @@ type abstraction = {
   mutable bound_acts : (int, Lit.t) Hashtbl.t; (* k -> activation literal *)
 }
 
-let make_abstraction (p : Problem.t) ~symmetry_breaking target =
+let make_abstraction copies ~symmetry_breaking target =
+  let p = Copies.problem copies in
   let solver = Solver.create () in
   let support = Array.of_list p.Problem.support in
   let n = Array.length support in
@@ -71,8 +74,6 @@ let make_abstraction (p : Problem.t) ~symmetry_breaking target =
   let alpha = Array.init n (fun _ -> fresh ()) in
   let beta = Array.init n (fun _ -> fresh ()) in
   let shared = Array.init n (fun _ -> fresh ()) in
-  let pos_of = Hashtbl.create 16 in
-  Array.iteri (fun j i -> Hashtbl.replace pos_of i j) support;
   for j = 0 to n - 1 do
     (* exclude (1,1): each variable sits in exactly one of XA/XB/XC *)
     ignore
@@ -95,7 +96,7 @@ let make_abstraction (p : Problem.t) ~symmetry_breaking target =
       alpha;
       beta;
       shared;
-      pos_of;
+      position = Copies.position copies;
       cnt_shared = None;
       cnt_a = None;
       cnt_b = None;
@@ -224,8 +225,8 @@ let refine abs d1 d2 =
       "Qbf_model: empty refinement clause (the copies scaffold does not \
        match the abstraction)";
   let clause xa xb =
-    List.map (fun i -> Lit.negate abs.alpha.(Hashtbl.find abs.pos_of i)) xa
-    @ List.map (fun i -> Lit.negate abs.beta.(Hashtbl.find abs.pos_of i)) xb
+    List.map (fun i -> Lit.negate abs.alpha.(abs.position i)) xa
+    @ List.map (fun i -> Lit.negate abs.beta.(abs.position i)) xb
   in
   ignore (Solver.add_clause abs.solver (clause d1 d2));
   ignore (Solver.add_clause abs.solver (clause d2 d1))
@@ -244,13 +245,13 @@ let seed_words = 16
    keeps a partition decomposable, so every partition with u ∈ XA and
    v ∈ XB is refuted by the same lane. XOR's witness needs a double flip
    and is not seeded. *)
-let seed_pairs abs (p : Problem.t) g ~deadline =
+let seed_pairs abs copies g ~deadline =
   match g with
   | Gate.Xor_gate -> ()
   | Gate.Or_gate | Gate.And_gate ->
       Obs.span "qbf.seed" @@ fun () ->
       let n = Array.length abs.support in
-      let sim = Sim.compile p.Problem.aig ~inputs:abs.support p.Problem.f in
+      let sim = Copies.sim copies in
       let st = Random.State.make [| 0x5eed; n |] in
       let sens = Array.make n 0 in
       let refuted = Bytes.make (n * n) '\000' in
@@ -310,12 +311,21 @@ let arm_budget ~deadline solver =
       true
     end
 
-let query abs copies target k ~deadline ~refinement_cap ~refinements
-    ~qbf_queries =
+(* A candidate goes to the SAT verify only if [filter] (OR/AND; [None]
+   for XOR) cannot refute it by simulation. Either refutation adds its
+   clause and the mirror through [refine]; SAT counterexamples also feed
+   the filter's ring. *)
+let query abs copies filter target k ~deadline ~refinement_cap ~refinements
+    ~sim_refuted ~qbf_queries =
   incr qbf_queries;
   Metrics.inc m_queries;
   let t_query = Clock.now () in
   let assumptions = bound_assumptions abs target k in
+  let refined d1 d2 =
+    refine abs d1 d2;
+    incr refinements;
+    Metrics.inc m_refinements
+  in
   let rec loop () =
     if Clock.now () > deadline || !refinements >= refinement_cap then
       Q_unknown
@@ -327,28 +337,39 @@ let query abs copies target k ~deadline ~refinement_cap ~refinements
       with
       | Solver.Unknown -> Q_unknown
       | Solver.Unsat -> Q_invalid
-      | Solver.Sat ->
+      | Solver.Sat -> (
           let alpha_val j = Solver.model_value abs.solver abs.alpha.(j) in
           let beta_val j = Solver.model_value abs.solver abs.beta.(j) in
           let partition =
             Partition.of_alpha_beta
               ~support:(Array.to_list abs.support)
-              ~alpha:(fun i -> alpha_val (Hashtbl.find abs.pos_of i))
-              ~beta:(fun i -> beta_val (Hashtbl.find abs.pos_of i))
+              ~alpha:(fun i -> alpha_val (abs.position i))
+              ~beta:(fun i -> beta_val (abs.position i))
           in
-          (* re-check between abstraction and verification: the candidate
-             extraction is free, the verification solve is not *)
-          if not (arm_budget ~deadline (Copies.solver copies)) then Q_unknown
-          else
-          (match Obs.span "sat.verify" (fun () -> Copies.check copies partition) with
-          | Solver.Unsat -> Q_valid partition
-          | Solver.Unknown -> Q_unknown
-          | Solver.Sat ->
-              let d1, d2 = Copies.diff_sets copies in
-              refine abs d1 d2;
-              incr refinements;
-              Metrics.inc m_refinements;
-              loop ())
+          match Option.bind filter (fun f -> Sim_filter.refute f partition) with
+          | Some (d1, d2) ->
+              refined d1 d2;
+              incr sim_refuted;
+              Metrics.inc m_sim_refuted;
+              loop ()
+          | None -> (
+              (* re-check between abstraction and verification: the
+                 candidate extraction is free, the verification solve is
+                 not *)
+              if not (arm_budget ~deadline (Copies.solver copies)) then
+                Q_unknown
+              else
+                match
+                  Obs.span "sat.verify" (fun () ->
+                      Copies.check copies partition)
+                with
+                | Solver.Unsat -> Q_valid partition
+                | Solver.Unknown -> Q_unknown
+                | Solver.Sat ->
+                    Option.iter Sim_filter.record filter;
+                    let d1, d2 = Copies.diff_sets copies in
+                    refined d1 d2;
+                    loop ()))
   in
   let answer =
     Obs.span ~attrs:[ ("k", Step_obs.Json.Int k) ] "qbf.query" loop
@@ -377,9 +398,10 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
   Metrics.inc m_optimize;
   let t0 = Clock.now () in
   let n = Problem.n_vars p in
-  let refinements = ref 0 and qbf_queries = ref 0 in
+  let refinements = ref 0 and qbf_queries = ref 0 and sim_refuted = ref 0 in
   let finish partition optimal =
     Obs.add_attr "refinements" (Step_obs.Json.Int !refinements);
+    Obs.add_attr "sim_refuted" (Step_obs.Json.Int !sim_refuted);
     Obs.add_attr "queries" (Step_obs.Json.Int !qbf_queries);
     Obs.add_attr "optimal" (Step_obs.Json.Bool optimal);
     {
@@ -406,21 +428,24 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
     let deadline =
       match time_budget with Some b -> t0 +. b | None -> infinity
     in
-    let abs = make_abstraction p ~symmetry_breaking target in
+    let abs = make_abstraction copies ~symmetry_breaking target in
     let k_max =
       match target with
       | Weighted { wd; wb } -> (wd + wb) * (n - 2)
       | Disjointness | Balancedness | Combined -> n - 2
     in
-    (* seed on the first query: a bootstrap already at the floor asks none *)
-    let seeded = ref false in
+    (* seed and build the filter on the first query: a bootstrap already
+       at the floor asks none *)
+    let filter =
+      lazy
+        (seed_pairs abs copies g ~deadline;
+         match g with
+         | Gate.Xor_gate -> None
+         | Gate.Or_gate | Gate.And_gate -> Some (Sim_filter.create copies))
+    in
     let ask k =
-      if not !seeded then begin
-        seeded := true;
-        seed_pairs abs p g ~deadline
-      end;
-      query abs copies target k ~deadline ~refinement_cap:max_refinements
-        ~refinements ~qbf_queries
+      query abs copies (Lazy.force filter) target k ~deadline
+        ~refinement_cap:max_refinements ~refinements ~sim_refuted ~qbf_queries
     in
     (* best-so-far; queries with k < best are the only ones issued *)
     let best = ref bootstrap in

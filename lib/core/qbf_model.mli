@@ -13,8 +13,13 @@
       constraints [fT] — totalizer counters whose bound [k] is selected
       per query by assumption literals, so the optimum search re-solves
       the same CNF;
-    - {e verification} of a candidate [(α,β)] is one incremental SAT call
-      on the shared {!Copies} scaffold;
+    - for OR and AND, a candidate [(α,β)] is first simulated
+      ({!Sim_filter}: up to 252 points, the first 63 starting from the
+      most recent SAT counterexamples); a refuting lane, shrunk greedily,
+      refines like a SAT counterexample and no SAT call is made;
+    - {e verification} of a candidate simulation cannot refute (every XOR
+      candidate) is one incremental SAT call on the shared {!Copies}
+      scaffold, so every final answer is still proved by SAT;
     - a counterexample yields the refinement clause
       [∨_{i ∈ D1} ¬αᵢ ∨ ∨_{i ∈ D2} ¬βᵢ] where [D1]/[D2] are the inputs on
       which the counterexample's copies 1/2 differ from [X], plus its
@@ -23,7 +28,7 @@
       clause raises [Invalid_argument] (it would make a decomposable
       function look not decomposable);
     - for OR and AND, before the first query, bit-parallel simulation
-      ({!Step_aig.Sim}, about a thousand seeded vectors) finds input
+      ({!Copies.sim}, about a thousand seeded vectors) finds input
       pairs [{u, v}] with a lane where [f = 1] (OR; [f = 0] for AND)
       and flipping either input alone changes [f]; each such lane refutes
       [{u} | {v} | rest], and since moving inputs into [XC] keeps a
@@ -31,7 +36,8 @@
       added (see docs/ALGORITHMS.md §2.1).
 
     All refinements are valid for every bound [k] and target, so they
-    accumulate across the whole optimum search.
+    accumulate across the whole optimum search. The simulation seeds are
+    fixed per problem, so answers do not depend on [-j].
 
     The target integer [k] instantiates the paper's constraints:
     (5) [|XC| ≤ k] for disjointness, (6) [0 ≤ |XA| − |XB| ≤ k] for

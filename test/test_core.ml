@@ -13,6 +13,8 @@ module Exhaustive = Step_core.Exhaustive
 module Mg = Step_core.Mg
 module Ljh = Step_core.Ljh
 module Qbf_model = Step_core.Qbf_model
+module Sim_filter = Step_core.Sim_filter
+module Solver = Step_sat.Solver
 module Extract = Step_core.Extract
 module Verify = Step_core.Verify
 module Method = Step_core.Method
@@ -340,11 +342,18 @@ let test_qbf_simulation_refutes_parity () =
 (* The solver's search is part of the answer: its decisions fix which
    counterexamples CEGAR sees, so a change meant to make the solver only
    faster must leave every count below as it is. The figures were recorded
-   before the decision heap was specialised to activity scores. *)
+   with the simulation filter in the CEGAR loop, which refutes most
+   candidates before the verify solve (qbf.sim_refuted). *)
 let test_qbf_search_golden () =
   let c = Circuit.compact (Suite.by_name "C7552") in
   let counters =
-    [ "sat.calls"; "sat.decisions"; "sat.propagations"; "sat.conflicts" ]
+    [
+      "sat.calls";
+      "sat.decisions";
+      "sat.propagations";
+      "sat.conflicts";
+      "qbf.sim_refuted";
+    ]
   in
   List.iter
     (fun (po, refinements, queries, expected) ->
@@ -365,8 +374,8 @@ let test_qbf_search_golden () =
       Alcotest.(check (list (pair string int))) (label ^ "solver counts")
         (List.combine counters expected) deltas)
     [
-      (0, 347, 1, [ 695; 43682; 354207; 876 ]);
-      (4, 302, 1, [ 605; 38824; 317931; 361 ]);
+      (0, 304, 1, [ 381; 19438; 227891; 691; 228 ]);
+      (4, 303, 1, [ 370; 17513; 221196; 341; 237 ]);
     ]
 
 let test_qbf_bootstrap_never_worse () =
@@ -603,6 +612,53 @@ let prop_qbf_optimal_vs_exhaustive =
             | Some _, None | None, Some _ -> false)
           Qbf_model.[ Disjointness; Balancedness; Combined ])
 
+(* Every clause the simulation filter adds must come from a real
+   counterexample: the partition {d1 | d2 | rest} behind it, and its
+   mirror, fail the SAT check. As in the CEGAR loop, candidates the filter
+   passes go to the SAT check, whose counterexamples feed the filter. *)
+let prop_filter_clauses_sound =
+  let n = 8 in
+  QCheck2.Test.make ~count:100
+    ~name:"filter clauses refute only indecomposable partitions"
+    ~print:(fun (e, g, parts) ->
+      Printf.sprintf "%s %s [%s]" (pp_expr e) (Gate.to_string g)
+        (String.concat "; " (List.map Partition.to_string parts)))
+    QCheck2.Gen.(
+      let* e = gen_expr n in
+      let* g = oneofl [ Gate.Or_gate; Gate.And_gate ] in
+      let support = (problem_of_expr n e).Problem.support in
+      let+ parts =
+        if List.length support < 2 then pure []
+        else list_size (int_range 1 40) (gen_partition_of support)
+      in
+      (e, g, parts))
+    (fun (e, g, parts) ->
+      let p = problem_of_expr n e in
+      let copies = Copies.create p g in
+      let filter = Sim_filter.create copies in
+      let indecomposable d1 d2 =
+        let rest =
+          List.filter
+            (fun i -> not (List.mem i d1 || List.mem i d2))
+            p.Problem.support
+        in
+        Copies.check copies (Partition.make ~xa:d1 ~xb:d2 ~xc:rest)
+        = Solver.Sat
+      in
+      List.for_all
+        (fun (part : Partition.t) ->
+          match Sim_filter.refute filter part with
+          | Some (d1, d2) ->
+              d1 <> [] && d2 <> []
+              && List.for_all (fun i -> List.mem i part.Partition.xa) d1
+              && List.for_all (fun i -> List.mem i part.Partition.xb) d2
+              && indecomposable d1 d2 && indecomposable d2 d1
+          | None ->
+              if Copies.check copies part = Solver.Sat then
+                Sim_filter.record filter;
+              true)
+        parts)
+
 let prop_recursive_rebuild_equivalent =
   QCheck2.Test.make ~count:40 ~name:"recursive trees rebuild equivalently"
     ~print:pp_expr (gen_expr 6) (fun e ->
@@ -682,6 +738,7 @@ let () =
           prop_extract_verifies;
           prop_mg_partitions_valid;
           prop_qbf_optimal_vs_exhaustive;
+          prop_filter_clauses_sound;
           prop_recursive_rebuild_equivalent;
         ];
     ]

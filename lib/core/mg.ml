@@ -45,7 +45,8 @@ let popcount w =
    the top bit is 0 for every input in every round, so that last lane
    simulates the all-zero vector, done once in the extra row and counted
    [rounds] times. *)
-let signature_pairs c (p : Problem.t) =
+let signature_pairs c =
+  let p = Copies.problem c in
   let aig = p.Problem.aig in
   let support = Array.of_list p.Problem.support in
   let n = Array.length support in
@@ -194,7 +195,7 @@ let find ?copies ?seed_limit ?(seed_order = Spread) ?time_budget
     let pairs =
       match seed_order with
       | Spread -> seed_pairs p.Problem.support
-      | Signature -> signature_pairs c p
+      | Signature -> signature_pairs c
     in
     scan pairs 0
   end

@@ -1,5 +1,6 @@
 module Sim = Step_aig.Sim
 
+(* Simulated words per candidate at most. *)
 let words = 4
 
 (* Input words are held by support position; lane l of a word is one

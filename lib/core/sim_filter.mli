@@ -5,7 +5,7 @@
     [X''] where [X'] differs from [X] only on [XA], [X''] only on [XB],
     and [f(X) = 1], [f(X') = f(X'') = 0] under OR ([f(X) = 0],
     [f(X') = f(X'') = 1] under AND). {!refute} looks for such points with
-    the scaffold's simulator ({!Copies.sim}): up to {!words} words of
+    the scaffold's simulator ({!Copies.sim}): up to 4 words of
     {!Step_aig.Sim.lanes} lanes, each lane one [X] with [X'] re-drawing
     the [XA] inputs and [X''] the [XB] inputs. In the first word, lane [l]
     starts from the [l]-th most recent SAT counterexample handed to
@@ -19,9 +19,6 @@
     the same lanes in every run. *)
 
 type t
-
-val words : int
-(** Simulated words per candidate at most (4). *)
 
 val create : Copies.t -> t
 (** Allocates the filter's buffers; the simulator is compiled by the

@@ -174,11 +174,12 @@ qbffuzz:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --rounds 200 --vars 8
 
-# Arena differential smoke: each round solves the same random CNF with
-# inprocessing off (reference), with a forced inprocessing pass + arena
-# compaction, Simp-preprocessed with model reconstruction, and in proof
+# Arena differential smoke: each round solves the same random 3-CNF
+# plainly (reference); under a conflict budget, then a forced learnt-DB
+# reduction + arena compaction at level 0, then to the end; and in proof
 # mode with a forced DB reduction + compaction whose LRAT/DRAT
-# certificates must still check.
+# certificates must still check. Both round sets (12 and 28 variables)
+# are part of `make check`.
 arenasmoke:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --arena --rounds 120 --vars 12 \

@@ -270,15 +270,26 @@ let proof_round round st =
   end
 
 (* --arena mode: differential fuzzing of the arena-based solver paths.
-   Every round solves the same random CNF four ways — inprocessing off
-   (reference), inprocessing + forced compaction, Simp-preprocessed with
-   model reconstruction, and proof-logging with a forced DB reduction and
+   Every round solves the same random 3-CNF three ways — a plain solve
+   (reference), a solve interrupted by a conflict budget, whose learnt
+   database is then reduced and the arena compacted at level 0 before the
+   solve finishes, and proof-logging with a forced DB reduction and
    compaction — and demands identical verdicts, satisfying models, clean
    invariant audits, and LRAT/DRAT certificates that still check after
    the arena has moved every clause. *)
 
-module Simp = Step_sat.Simp
-module Dimacs = Step_sat.Dimacs
+(* Uniform random 3-CNF near the satisfiability threshold (4 to 4.5
+   clauses per variable): hard enough that a solve runs into a small
+   conflict budget with a learnt database worth reducing. *)
+let random_3cnf st n =
+  let n_clauses = (4 * n) + Random.State.int st ((n / 2) + 1) in
+  List.init n_clauses (fun _ ->
+      List.init 3 (fun _ ->
+          let v = 1 + Random.State.int st n in
+          if Random.State.bool st then v else -v))
+
+(* rounds whose reduction deleted learnts before the compaction *)
+let n_reduced = ref 0
 
 let eval_dimacs cnf value =
   List.for_all
@@ -287,7 +298,7 @@ let eval_dimacs cnf value =
 
 let arena_round round st =
   let n = !n_vars in
-  let cnf = random_cnf st n in
+  let cnf = random_3cnf st n in
   let mk ?proof () =
     let s = Solver.create ?proof () in
     Solver.ensure_var s (n - 1);
@@ -305,64 +316,46 @@ let arena_round round st =
     | [] -> ()
     | d :: _ -> fail round (label ^ " audit: " ^ Diag.to_text d)
   in
-  (* reference: arena solver with inprocessing disabled *)
   let base = mk () in
-  Solver.set_inprocessing base false;
   let r0 = Solver.solve base in
   if r0 then check_model "reference" base;
   check_audit "reference" base;
-  (* forced inprocessing + compaction before the solve *)
+  (* interrupted solve: reduce + compact at level 0 between the parts *)
   let s1 = mk () in
-  Solver.inprocess s1;
+  Solver.set_conflict_budget s1 (1 + Random.State.int st 8);
+  let first = Solver.solve_limited s1 in
+  Solver.set_conflict_budget s1 (-1);
+  let live = Solver.n_live_clauses s1 in
+  Solver.reduce_learnts s1;
+  if Solver.n_live_clauses s1 < live then incr n_reduced;
   Solver.compact s1;
-  check_audit "inprocessed" s1;
+  check_audit "compacted" s1;
+  if first <> Solver.Unknown && (first = Solver.Sat) <> r0 then
+    fail round "budgeted verdict disagrees with reference";
   let r1 = Solver.solve s1 in
   if r1 <> r0 then
     fail round
-      (Printf.sprintf "inprocessed verdict %b disagrees with reference %b" r1
-         r0);
-  if r1 then check_model "inprocessed" s1;
-  check_audit "inprocessed post-solve" s1;
-  (* Simp preprocessing + model reconstruction *)
-  let dcnf =
-    {
-      Dimacs.num_vars = n;
-      clauses = List.map (List.map Lit.of_dimacs) cnf;
-    }
-  in
-  let simp = Simp.eliminate ~growth:2 dcnf in
-  let s2 = Solver.create () in
-  Solver.ensure_var s2 (n - 1);
-  List.iter
-    (fun c -> ignore (Solver.add_clause s2 c))
-    simp.Simp.cnf.Dimacs.clauses;
+      (Printf.sprintf "compacted verdict %b disagrees with reference %b" r1 r0);
+  if r1 then check_model "compacted" s1;
+  check_audit "compacted post-solve" s1;
+  (* proof mode: certificates must survive reduction + compaction *)
+  let s2 = mk ~proof:true () in
   let r2 = Solver.solve s2 in
   if r2 <> r0 then
     fail round
-      (Printf.sprintf "simp verdict %b disagrees with reference %b" r2 r0);
-  if r2 then begin
-    let full = Simp.reconstruct simp (fun v -> Solver.var_value s2 v) in
-    if not (eval_dimacs cnf (fun v -> full (v - 1))) then
-      fail round "reconstructed simp model does not satisfy the input CNF"
-  end;
-  (* proof mode: certificates must survive reduction + compaction *)
-  let s3 = mk ~proof:true () in
-  let r3 = Solver.solve s3 in
-  if r3 <> r0 then
-    fail round
-      (Printf.sprintf "proof-mode verdict %b disagrees with reference %b" r3 r0);
-  if not r3 then begin
-    Solver.reduce_learnts s3;
-    Solver.compact s3;
-    check_audit "proof-mode compacted" s3;
-    let live = Lrat.input_cnf s3 in
-    let drat_text = Drat.export_string s3 in
+      (Printf.sprintf "proof-mode verdict %b disagrees with reference %b" r2 r0);
+  if not r2 then begin
+    Solver.reduce_learnts s2;
+    Solver.compact s2;
+    check_audit "proof-mode compacted" s2;
+    let live = Lrat.input_cnf s2 in
+    let drat_text = Drat.export_string s2 in
     if
       Diag.has_errors
-        (Cert.check_drat ~item:"arena-drat" ~n_vars:(Solver.n_vars s3)
+        (Cert.check_drat ~item:"arena-drat" ~n_vars:(Solver.n_vars s2)
            ~cnf:live ~proof:drat_text ())
     then fail round "DRAT rejected after arena compaction";
-    let e = Lrat.export s3 in
+    let e = Lrat.export s2 in
     if
       Diag.has_errors
         (Cert.check_lrat ~item:"arena-lrat" ~n_vars:e.Lrat.n_vars
@@ -400,7 +393,9 @@ let () =
     else if !proofs then proof_round round st
     else round_check round st
   done;
-  Printf.printf "fuzz%s: %d rounds, %d failures\n"
+  Printf.printf "fuzz%s: %d rounds, %d failures%s\n"
     (if !arena then " (arena)" else if !proofs then " (proofs)" else "")
-    !rounds !failures;
+    !rounds !failures
+    (if !arena then Printf.sprintf ", %d with learnts deleted" !n_reduced
+     else "");
   exit (if !failures = 0 then 0 else 1)

@@ -23,6 +23,7 @@ type t = {
   attributed_s : float;
   n_spans : int;
   n_orphans : int;
+  n_records : int;
 }
 
 let new_node name =
@@ -44,7 +45,7 @@ type span = {
   sp_self : float;
 }
 
-let build spans =
+let build ~n_records spans =
   let by_id : (int, span) Hashtbl.t = Hashtbl.create 256 in
   List.iter (fun s -> Hashtbl.replace by_id s.sp_id s) spans;
   (* Path from root to [s], resolving parent links. A parent id that was
@@ -118,10 +119,11 @@ let build spans =
     attributed_s = !attributed;
     n_spans = !n_spans;
     n_orphans = !n_orphans;
+    n_records;
   }
 
 let of_records records =
-  build
+  build ~n_records:(List.length records)
     (List.filter_map
        (fun (r : Obs.record) ->
          match r.Obs.r_kind with
@@ -166,21 +168,24 @@ let of_file path =
     with Sys_error msg -> failwith ("Profile.of_file: " ^ msg)
   in
   let spans = ref [] in
+  let n_records = ref 0 in
   (try
      let lineno = ref 0 in
      while true do
        let line = input_line ic in
        incr lineno;
-       if String.trim line <> "" then
+       if String.trim line <> "" then begin
+         incr n_records;
          match span_of_line line with
          | Some s -> spans := s :: !spans
          | None -> ()
          | exception Failure msg ->
              close_in ic;
              failwith (Printf.sprintf "%s:%d: %s" path !lineno msg)
+       end
      done
    with End_of_file -> close_in ic);
-  build (List.rev !spans)
+  build ~n_records:!n_records (List.rev !spans)
 
 let collector () =
   let records = ref [] in

@@ -27,6 +27,7 @@ type t = {
   attributed_s : float;  (** Sum of all span self times. *)
   n_spans : int;
   n_orphans : int;
+  n_records : int;  (** Records read, events included. *)
 }
 
 val of_records : Obs.record list -> t

@@ -1,5 +1,7 @@
 (** Offline analysis of JSONL trace files written by {!Obs.jsonl_sink}:
-    the engine behind [step trace FILE.jsonl]. *)
+    the engine behind [step trace FILE.jsonl]. It reads the trace through
+    {!Profile.of_file}, so [step trace] and [step profile] agree on wall
+    time and orphans. *)
 
 type row = {
   name : string;
@@ -11,17 +13,22 @@ type row = {
 
 type t = {
   rows : row list;  (** Per span name, self-time descending. *)
-  wall_s : float;  (** Sum of root-span durations. *)
+  wall_s : float;
+      (** Sum of root-span durations; as in {!Profile}, a span whose
+          parent is missing from the trace counts as a root. *)
   n_records : int;
+  n_orphans : int;  (** {!Profile.t.n_orphans}: spans cut off a parent. *)
   contexts : (string * string * float) list;
       (** [(ancestor, name, total_s)] for leaf-level [sat.*] spans grouped
           by their nearest engine ancestor ([qbf.*], [cegar.*], [mg.*],
-          [ljh.*], [pipeline.*]) — answers "verification SAT vs
-          abstraction SAT, per engine". *)
+          [ljh.*], [pipeline.*]), or ["(root)"] when none — answers
+          "verification SAT vs abstraction SAT, per engine". *)
 }
 
 val of_file : string -> t
-(** @raise Failure on unreadable files or malformed lines. *)
+(** Folds {!Profile.of_file}'s call-path trie into per-name rows and SAT
+    contexts.
+    @raise Failure on unreadable files or malformed lines. *)
 
 val render : t -> string
 (** Aligned-text breakdown. *)

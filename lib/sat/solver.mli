@@ -137,31 +137,20 @@ val reduce_learnts : t -> unit
     tests and fuzzers exercising deletion-aware proof export.
     @raise Invalid_argument unless at decision level 0. *)
 
-val set_inprocessing : t -> bool -> unit
-(** Toggles the scheduled inprocessing passes (satisfied-clause removal,
-    false-literal stripping, backward subsumption and self-subsuming
-    resolution) that run between restarts. On by default; never runs in
-    proof mode regardless of this flag. *)
-
-val inprocessing_enabled : t -> bool
-
-val inprocess : t -> unit
-(** Runs one inprocessing pass immediately (then compacts the arena if
-    enough space is buried). Intended for tests and fuzzers.
-    @raise Invalid_argument unless at decision level 0, or in proof
-    mode (inprocessing would invalidate the recorded derivations). *)
-
 val compact : t -> unit
 (** Forces an arena garbage collection: live clause blocks are compacted
     to the bottom of the bank and every internal reference is reseated.
-    Clause ids are stable across compaction. Runs automatically at
-    restart boundaries once enough words are buried; this hook exists for
-    tests and fuzzers.
+    Clause ids are stable across compaction, and a live clause keeps its
+    literal set (watch moves may reorder it): the only blocks that go are
+    learned clauses deleted by database reduction. Runs automatically at restart boundaries once
+    enough words are buried; this hook exists for tests and fuzzers
+    (typically right after {!reduce_learnts}).
     @raise Invalid_argument unless at decision level 0. *)
 
 val n_live_clauses : t -> int
-(** Number of clause records (problem + learned) still alive, i.e. not
-    deleted by reduction or inprocessing. *)
+(** Number of clause records (problem + learned) still alive. Problem
+    clauses are never removed, so this falls only when database reduction
+    deletes learned clauses. *)
 
 val n_clause_records : t -> int
 (** Total number of clause records allocated (problem + learned, live or

@@ -461,6 +461,26 @@ let test_trace_file_roundtrip () =
     "renders" true
     (String.length (Trace_summary.render summary) > 0)
 
+(* A truncated trace: one span whose parent never reached the file.
+   [step trace] and [step profile] read it the same way — the span counts
+   as a root, so the wall time is its duration, not zero. *)
+let test_trace_orphan () =
+  let path = Filename.temp_file "step_obs_orphan" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  output_string oc
+    "{\"type\":\"span\",\"id\":3,\"parent\":1,\"depth\":1,\"name\":\"sat.solve\",\"start_s\":0.0,\"dur_s\":1.0,\"self_s\":1.0}\n";
+  close_out oc;
+  let summary = Trace_summary.of_file path in
+  let p = Profile.of_file path in
+  Alcotest.(check feq) "wall is the orphan's dur" 1.0
+    summary.Trace_summary.wall_s;
+  Alcotest.(check feq) "wall agrees with profile" p.Profile.wall_s
+    summary.Trace_summary.wall_s;
+  Alcotest.(check string) "header"
+    "trace: 1 records, 1.000s wall (root spans, 1 orphaned)"
+    (List.hd (String.split_on_char '\n' (Trace_summary.render summary)))
+
 (* ---------- profiles ---------- *)
 
 let mk_record ?parent ?(depth = 0) ?(kind = `Span) ~id ~name ~start ~dur ~self
@@ -770,6 +790,7 @@ let () =
         [
           Alcotest.test_case "file roundtrip" `Quick test_trace_file_roundtrip;
           Alcotest.test_case "diff" `Quick test_trace_diff;
+          Alcotest.test_case "orphaned span" `Quick test_trace_orphan;
         ] );
       ( "profile",
         [

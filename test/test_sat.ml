@@ -312,86 +312,6 @@ let test_large_random_sat () =
   done;
   Alcotest.(check bool) "sat" true (Solver.solve s)
 
-(* ---------- preprocessing ---------- *)
-
-module Simp = Step_sat.Simp
-
-let test_simp_pure_literal () =
-  (* v occurs only positively: eliminated with zero resolvents *)
-  let cnf =
-    { Dimacs.num_vars = 3;
-      clauses = [ [ pos 0; pos 1 ]; [ pos 0; neg 2 ]; [ pos 1; pos 2 ] ] }
-  in
-  let r = Simp.eliminate cnf in
-  Alcotest.(check bool) "fewer clauses" true
-    (List.length r.Simp.cnf.Dimacs.clauses < 3);
-  Alcotest.(check bool) "var 0 eliminated" true
-    (List.mem_assoc 0 r.Simp.eliminated)
-
-let test_simp_preserves_unsat () =
-  let cnf =
-    { Dimacs.num_vars = 2;
-      clauses =
-        [ [ pos 0; pos 1 ]; [ pos 0; neg 1 ]; [ neg 0; pos 1 ]; [ neg 0; neg 1 ] ] }
-  in
-  let r = Simp.eliminate ~growth:4 cnf in
-  let s = Solver.create () in
-  List.iter (fun c -> ignore (Solver.add_clause s c)) r.Simp.cnf.Dimacs.clauses;
-  Alcotest.(check bool) "still unsat" false (Solver.solve s)
-
-let prop_simp_equisatisfiable =
-  QCheck2.Test.make ~count:300 ~name:"elimination preserves satisfiability"
-    ~print:print_cnf gen_cnf (fun (n, clauses) ->
-      let cnf = { Dimacs.num_vars = n; clauses } in
-      let r = Simp.eliminate ~growth:2 cnf in
-      let solve cs =
-        let s = Solver.create () in
-        List.iter (fun c -> ignore (Solver.add_clause s c)) cs;
-        if Solver.solve s then Some (fun v -> Solver.var_value s v) else None
-      in
-      match (solve clauses, solve r.Simp.cnf.Dimacs.clauses) with
-      | None, None -> true
-      | Some _, Some model ->
-          (* the reconstructed model must satisfy the original formula *)
-          let full = Simp.reconstruct r model in
-          List.for_all
-            (List.exists (fun l -> full (Lit.var l) = Lit.is_pos l))
-            clauses
-      | Some _, None | None, Some _ -> false)
-
-(* Regression: a variable holding a unit clause of its own must never be
-   eliminated, even when it is the cheapest candidate (a pure-ish literal
-   with a single occurrence). The unit is a fact; resolving it away used
-   to silently drop it from the simplified formula. *)
-let test_simp_unit_guard () =
-  let cnf =
-    {
-      Dimacs.num_vars = 3;
-      clauses =
-        [
-          [ pos 0 ];
-          (* satisfiable filler making the other vars strictly more
-             expensive to eliminate than the zero-cost unit var *)
-          [ pos 1; pos 2 ];
-          [ neg 1; pos 2 ];
-          [ pos 1; neg 2 ];
-        ];
-    }
-  in
-  let r = Simp.eliminate cnf in
-  Alcotest.(check bool) "var 0 not eliminated" false
-    (List.mem_assoc 0 r.Simp.eliminated);
-  Alcotest.(check bool) "unit survives" true
-    (List.mem [ pos 0 ] r.Simp.cnf.Dimacs.clauses);
-  let s = Solver.create () in
-  List.iter (fun c -> ignore (Solver.add_clause s c)) r.Simp.cnf.Dimacs.clauses;
-  Alcotest.(check bool) "still sat" true (Solver.solve s);
-  let full = Simp.reconstruct r (fun v -> Solver.var_value s v) in
-  Alcotest.(check bool) "reconstructed model satisfies original" true
-    (List.for_all
-       (List.exists (fun l -> full (Lit.var l) = Lit.is_pos l))
-       cnf.Dimacs.clauses)
-
 (* ---------- epoch scratch maps ---------- *)
 
 module Epoch = Step_sat.Epoch
@@ -413,72 +333,41 @@ let test_epoch_basic () =
   Epoch.set e 40 3;
   Alcotest.(check int) "rebind after reset" 3 (Epoch.get e 40)
 
-(* ---------- inprocessing and arena compaction ---------- *)
+(* ---------- arena compaction ---------- *)
 
-let test_inprocess_subsumption () =
-  let s = solver_of [ [ pos 0; pos 1 ]; [ pos 0; pos 1; pos 2 ] ] in
-  Alcotest.(check int) "two live" 2 (Solver.n_live_clauses s);
-  Solver.inprocess s;
-  Alcotest.(check int) "subsumed away" 1 (Solver.n_live_clauses s);
-  Alcotest.(check (list string)) "audit clean" []
-    (List.map Step_lint.Diag.to_text (Solver.audit s));
-  Alcotest.(check bool) "still sat" true (Solver.solve s)
-
-let test_inprocess_self_subsume () =
-  (* [x0 x1] strengthens [¬x0 x1 x2] to [x1 x2] (resolution on x0) *)
-  let s = Solver.create () in
-  ignore (Solver.add_clause s [ pos 0; pos 1 ]);
-  let d = Solver.add_clause s [ neg 0; pos 1; pos 2 ] in
-  Solver.inprocess s;
-  let lits = List.sort compare (Array.to_list (Solver.clause_lits s d)) in
-  Alcotest.(check (list int)) "strengthened" [ pos 1; pos 2 ] lits;
-  Alcotest.(check (list string)) "audit clean" []
-    (List.map Step_lint.Diag.to_text (Solver.audit s));
-  Alcotest.(check bool) "still sat" true (Solver.solve s)
-
-let test_inprocess_satisfied_removal () =
-  (* the unit lands last so the other clauses already exist when x0 is
-     fixed: one becomes satisfied, one carries a false literal *)
-  let s = Solver.create () in
-  ignore (Solver.add_clause s [ pos 0; pos 1; pos 2 ]);
-  ignore (Solver.add_clause s [ neg 0; pos 1; neg 2 ]);
-  ignore (Solver.add_clause s [ pos 0 ]);
-  Solver.inprocess s;
-  (* the satisfied wide clause goes; the unit stays locked; the third is
-     strengthened by the false literal ¬x0 *)
-  Alcotest.(check int) "live afterwards" 2 (Solver.n_live_clauses s);
-  Alcotest.(check bool) "still sat" true (Solver.solve s)
-
-let test_inprocess_proof_mode_rejected () =
-  let s = solver_of ~proof:true [ [ pos 0; pos 1 ] ] in
-  Alcotest.check_raises "rejected"
-    (Invalid_argument "Solver.inprocess: unavailable in proof mode") (fun () ->
-      Solver.inprocess s)
-
+(* Learnt deletion is the only way a clause leaves the database: kill
+   learnts with a forced reduction, compact, and check that the surviving
+   clauses (every problem clause among them) keep their ids and literals. *)
 let test_compact_preserves_ids () =
-  let s = Solver.create () in
-  let ids =
-    List.init 40 (fun i ->
-        let v = 3 * i in
-        (Solver.add_clause s [ pos v; pos (v + 1); pos (v + 2) ], v))
+  let n = 6 in
+  let v i h = (i * n) + h in
+  let cnf =
+    List.init (n + 1) (fun i -> List.init n (fun h -> pos (v i h)))
+    @ List.concat
+        (List.init n (fun h ->
+             List.concat
+               (List.init (n + 1) (fun i ->
+                    List.init i (fun j -> [ neg (v i h); neg (v j h) ])))))
   in
-  (* kill every other clause via subsumption, then force a compaction *)
-  List.iteri
-    (fun i (_, v) -> if i mod 2 = 0 then ignore (Solver.add_clause s [ pos v; pos (v + 1) ]))
-    ids;
-  Solver.inprocess s;
+  let s = Solver.create () in
+  let ids = List.map (fun c -> (Solver.add_clause s c, c)) cnf in
+  Solver.set_conflict_budget s 200;
+  Alcotest.(check bool) "budget runs out" true
+    (Solver.solve_limited s = Solver.Unknown);
+  Solver.set_conflict_budget s (-1);
+  let live = Solver.n_live_clauses s in
+  Solver.reduce_learnts s;
+  Alcotest.(check bool) "learnts deleted" true (Solver.n_live_clauses s < live);
   Solver.compact s;
   Alcotest.(check (list string)) "audit clean" []
     (List.map Step_lint.Diag.to_text (Solver.audit s));
-  (* surviving ids still resolve to their literals after the move *)
-  List.iteri
-    (fun i (id, v) ->
-      if i mod 2 = 1 then
-        Alcotest.(check (list int))
-          "lits stable" [ pos v; pos (v + 1); pos (v + 2) ]
-          (List.sort compare (Array.to_list (Solver.clause_lits s id))))
+  List.iter
+    (fun (id, c) ->
+      Alcotest.(check (list int))
+        "lits stable" (List.sort compare c)
+        (List.sort compare (Array.to_list (Solver.clause_lits s id))))
     ids;
-  Alcotest.(check bool) "still sat" true (Solver.solve s)
+  Alcotest.(check bool) "still unsat" false (Solver.solve s)
 
 (* ---------- drat ---------- *)
 
@@ -641,22 +530,10 @@ let () =
           Alcotest.test_case "deletions after reduce" `Quick
             test_drat_deletions;
         ] );
-      ( "simp",
-        [
-          Alcotest.test_case "pure literal" `Quick test_simp_pure_literal;
-          Alcotest.test_case "preserves unsat" `Quick test_simp_preserves_unsat;
-          Alcotest.test_case "unit guard" `Quick test_simp_unit_guard;
-        ] );
       ( "epoch",
         [ Alcotest.test_case "basic" `Quick test_epoch_basic ] );
-      ( "inprocess",
+      ( "arena",
         [
-          Alcotest.test_case "subsumption" `Quick test_inprocess_subsumption;
-          Alcotest.test_case "self-subsume" `Quick test_inprocess_self_subsume;
-          Alcotest.test_case "satisfied removal" `Quick
-            test_inprocess_satisfied_removal;
-          Alcotest.test_case "proof mode rejected" `Quick
-            test_inprocess_proof_mode_rejected;
           Alcotest.test_case "compact preserves ids" `Quick
             test_compact_preserves_ids;
         ] );
@@ -667,6 +544,5 @@ let () =
           prop_core_sufficient;
           prop_model_complete;
           prop_drat_certificates_check;
-          prop_simp_equisatisfiable;
         ];
     ]
